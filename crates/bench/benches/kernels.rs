@@ -9,8 +9,9 @@ use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_nn::float_model::conv3_same;
-use ecnn_sim::exec::{execute_with, BlockExecutor, BlockPlan, Kernels, PlanePool};
-use ecnn_sim::kernels::{accum_row_interior, accum_row_padded};
+use ecnn_sim::exec::{execute, execute_with, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::kernels::{accum_row_interior, row_padded};
+use ecnn_sim::SimdLevel;
 use ecnn_tensor::{ImageKind, SyntheticImage, Tensor};
 use std::hint::black_box;
 
@@ -22,8 +23,13 @@ fn bench_executor(c: &mut Criterion) {
     let codes = img.map(|v| qm.input_q.quantize(v));
     c.bench_function("executor/dnernet_b3_block64", |b| {
         b.iter(|| {
-            let mut ex = BlockExecutor::new(&compiled.program, &compiled.leafs);
-            black_box(ex.run(black_box(&codes)).unwrap())
+            let plan = BlockPlan::new(&compiled.program, &compiled.leafs).unwrap();
+            let mut pool = PlanePool::new();
+            black_box(
+                execute(&plan, &mut pool, black_box(&codes))
+                    .unwrap()
+                    .clone(),
+            )
         })
     });
 }
@@ -52,7 +58,8 @@ fn bench_kernel_paths(c: &mut Criterion) {
 }
 
 /// The row micro-kernel itself: the branch-free interior span vs the
-/// zero-padded border-splitting variant, on a 4K-wide row.
+/// zero-padded border-splitting variant, on a 4K-wide row (both on the
+/// scalar-tier `i64` lane).
 fn bench_row_kernels(c: &mut Criterion) {
     const W: usize = 3840;
     let row: Vec<i16> = (0..W + 2).map(|i| ((i * 37) % 251) as i16 - 125).collect();
@@ -63,7 +70,14 @@ fn bench_row_kernels(c: &mut Criterion) {
     });
     let mut acc = vec![0i64; W];
     c.bench_function("kernels/row_border_4k", |b| {
-        b.iter(|| accum_row_padded(black_box(&mut acc), black_box(&row[..W]), black_box(taps)))
+        b.iter(|| {
+            row_padded(
+                SimdLevel::Scalar,
+                black_box(&mut acc),
+                black_box(&row[..W]),
+                black_box(taps),
+            )
+        })
     });
 }
 

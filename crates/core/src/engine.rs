@@ -760,7 +760,7 @@ impl EngineBuilder {
 }
 
 /// A compiled eCNN workload bound to a machine configuration — the
-/// unified entry point replacing `Accelerator::deploy` + `Deployment`.
+/// unified entry point of the system API.
 #[derive(Clone, Debug)]
 pub struct Engine {
     machine: EcnnConfig,
@@ -1446,6 +1446,8 @@ impl Backend for EcnnBackend {
 mod tests {
     use super::*;
     use ecnn_model::ernet::ErNetTask;
+    use ecnn_model::model::InferenceKind;
+    use ecnn_nn::quant::fixed_forward;
     use ecnn_tensor::{ImageKind, SyntheticImage};
 
     fn engine(task: ErNetTask, b: usize, xi: usize) -> Engine {
@@ -1553,5 +1555,89 @@ mod tests {
         assert_eq!(r.backend, "ecnn");
         assert!(r.meets_realtime, "fps {}", r.fps);
         assert!(r.power_w.unwrap() > 5.0);
+    }
+
+    #[test]
+    fn stitched_image_matches_whole_frame_reference_bit_exactly() {
+        // The block flow with recomputed overlaps must equal running the
+        // fixed-point reference on the zero-extended whole frame (valid
+        // convolutions) — the paper's equivalence claim for block-based
+        // inference.
+        let eng = engine(ErNetTask::Dn, 2, 40);
+        let img = SyntheticImage::new(ImageKind::Mixed, 31).rgb(56, 56);
+        let (out, stats) = eng.run_image(&img).unwrap();
+        assert_eq!(out.shape(), (3, 56, 56));
+        assert!(stats.blocks > 1, "must exercise stitching");
+
+        // Reference: zero-extend by the receptive border (5 convs -> 5 px),
+        // then valid fixed-point forward.
+        let p = &eng.compiled().program;
+        let border = (p.di_side - p.do_side) / 2;
+        let qm = eng.quantized_model();
+        let ext = img.crop_padded(
+            -(border as isize),
+            -(border as isize),
+            56 + 2 * border,
+            56 + 2 * border,
+        );
+        let codes = ext.map(|v| qm.input_q.quantize(v));
+        let ref_out = fixed_forward(qm, &codes);
+        assert_eq!(ref_out.shape(), (3, 56, 56));
+        let out_q = qm.layers.iter().rev().flatten().next().unwrap().out_q;
+        let ref_f = ref_out.map(|c| out_q.dequantize(c).clamp(0.0, 1.0));
+        for c in 0..3 {
+            for y in 0..56 {
+                for x in 0..56 {
+                    assert_eq!(
+                        out.at(c, y, x),
+                        ref_f.at(c, y, x),
+                        "mismatch at ({c},{y},{x})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sr_image_is_upscaled() {
+        let eng = engine(ErNetTask::Sr2, 2, 32);
+        let img = SyntheticImage::new(ImageKind::Smooth, 5).rgb(48, 48);
+        let (out, _) = eng.run_image(&img).unwrap();
+        assert_eq!(out.shape(), (3, 96, 96));
+    }
+
+    #[test]
+    fn channel_mismatch_is_reported() {
+        let eng = engine(ErNetTask::Dn, 1, 32);
+        let gray = Tensor::<f32>::zeros(1, 32, 32);
+        match eng.run_image(&gray) {
+            Err(EngineError::Image(m)) => {
+                assert_eq!(m.channels, 1);
+                assert_eq!(m.expected_channels, 3);
+            }
+            other => panic!("expected image mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn system_report_dnernet_uhd30() {
+        let eng = engine(ErNetTask::Dn, 3, 128);
+        let r = eng.system_report_at(RealTimeSpec::UHD30);
+        assert!(r.meets_realtime, "fps {}", r.frame.fps);
+        assert_eq!(r.dram_config.unwrap().name, "DDR-400");
+        assert!(r.power.total_w() > 5.0 && r.power.total_w() < 8.5);
+        assert!(r.dram_power.dynamic_mw() < 150.0);
+    }
+
+    #[test]
+    fn zero_padded_models_deploy_at_frame_size() {
+        let m = ecnn_model::zoo::recognition(10);
+        let qm = QuantizedModel::uniform(&m);
+        let eng = Engine::builder().quantized(qm).block(224).build().unwrap();
+        assert_eq!(eng.compiled().program.inference, InferenceKind::ZeroPadded);
+        assert_eq!(eng.compiled().program.do_side, 1);
+        // Wide features exceed the strict 3x512KB buffers: recorded, not
+        // fatal (DESIGN.md §4).
+        assert!(eng.compiled().program.bb_overflow);
     }
 }

@@ -55,7 +55,6 @@ pub mod engine;
 pub mod faults;
 mod json;
 pub mod pipe;
-pub mod pipeline;
 pub mod report;
 pub mod sharded;
 pub mod supervise;
@@ -70,9 +69,6 @@ pub use engine::{
 };
 pub use faults::{Fault, FaultKind, FaultPlan, FaultRule};
 pub use pipe::{AsyncSession, FramePoll, FrameTicket};
-pub use pipeline::PipelineError;
-#[allow(deprecated)]
-pub use pipeline::{Accelerator, Deployment};
 pub use report::{SupervisionReport, SystemReport};
 pub use sharded::{partition_rows, BlockParallel, ShardedBackend};
 pub use supervise::{

@@ -26,14 +26,16 @@
 //! The accumulation inner loops live in [`crate::kernels`]: the plan packs
 //! every instruction's parameters once
 //! ([`BlockPlan::packed`] — widened tap-major weights, pre-aligned biases,
-//! zero-tap masks) and the default flat-slice micro-kernels consume that
-//! cache with an interior/border row split, so steady-state frames do
-//! zero kernel-parameter preparation. [`execute_with`] can instead run
-//! the kept scalar [`Kernels::Reference`] path, which is bit-identical
-//! and serves as the measured baseline and parity oracle.
+//! zero-tap masks) and the one packed nest consumes that cache with an
+//! interior/border row split, so steady-state frames do zero
+//! kernel-parameter preparation. Each convolution resolves its lane once
+//! (SIMD tier, and `i64` or the licensed `i32` accumulator) and makes one
+//! call into that nest. [`execute_with`] can instead run the kept scalar
+//! [`Kernels::Reference`] path, which is bit-identical and serves as the
+//! measured baseline and parity oracle.
 
 use crate::config::EcnnConfig;
-use crate::kernels;
+use crate::kernels::{self, simd::SimdLevel, Lane};
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
 use ecnn_isa::params::{LeafParams, PackedKernelParams};
 use ecnn_isa::program::Program;
@@ -83,7 +85,8 @@ pub enum KernelVariant {
     None,
     /// The kept pre-packing scalar kernels ([`Kernels::Reference`]).
     Reference,
-    /// The flat-slice packed kernels ([`Kernels::Packed`]).
+    /// [`Kernels::Packed`]: the packed nest at the portable scalar tier,
+    /// wide lanes.
     Packed,
     /// [`Kernels::Simd`] resolved to the portable scalar fallback.
     SimdScalar,
@@ -302,22 +305,13 @@ impl ExecTrace {
     }
 }
 
-fn scan_i64(t: &Tensor<i64>) -> Option<(i64, i64)> {
+fn scan<T: Copy + Into<i64>>(t: &Tensor<T>) -> Option<(i64, i64)> {
     let s = t.as_slice();
     let (first, rest) = s.split_first()?;
+    let f = (*first).into();
     Some(
         rest.iter()
-            .fold((*first, *first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
-    )
-}
-
-fn scan_i16(t: &Tensor<i16>) -> Option<(i64, i64)> {
-    let s = t.as_slice();
-    let (first, rest) = s.split_first()?;
-    let f = *first as i64;
-    Some(
-        rest.iter()
-            .fold((f, f), |(lo, hi), &v| (lo.min(v as i64), hi.max(v as i64))),
+            .fold((f, f), |(lo, hi), &v| (lo.min(v.into()), hi.max(v.into()))),
     )
 }
 
@@ -437,7 +431,7 @@ pub struct BlockPlan<'a> {
     packed: Vec<PackedKernelParams>,
     /// The SIMD tier [`Kernels::Simd`] dispatches to, resolved once at
     /// plan time by runtime feature detection.
-    simd: kernels::simd::SimdLevel,
+    simd: SimdLevel,
     /// The verifier-licensed coalesced memory layout, stamped at plan
     /// time only when verification found no hard errors (mirroring the
     /// `narrow_acc` license). `None` falls back to the keyed
@@ -692,7 +686,7 @@ impl<'a> BlockPlan<'a> {
 
     /// The SIMD tier [`Kernels::Simd`] executions of this plan dispatch
     /// to (resolved once at plan time by runtime feature detection).
-    pub fn simd_level(&self) -> kernels::simd::SimdLevel {
+    pub fn simd_level(&self) -> SimdLevel {
         self.simd
     }
 
@@ -851,22 +845,9 @@ fn ensure_slot<'s, T: Copy + Default>(
     slot.as_mut().expect("slot filled above")
 }
 
-/// [`ensure_slot`] plus an in-place [`Tensor::reset`] to `c×h×w`
-/// (zero-filled).
-fn ensure<'s, T: Copy + Default>(
-    slot: &'s mut Option<Tensor<T>>,
-    stats: &mut ExecStats,
-    c: usize,
-    h: usize,
-    w: usize,
-) -> &'s mut Tensor<T> {
-    let t = ensure_slot(slot, stats, c * h * w);
-    t.reset(c, h, w);
-    t
-}
-
-/// [`ensure`] without the zero-fill — for scratch whose every element the
-/// caller is about to overwrite (stale values may survive the reshape).
+/// [`ensure_slot`] plus an in-place [`Tensor::reset_no_fill`] to `c×h×w`
+/// — for scratch whose every element the caller is about to overwrite
+/// (stale values may survive the reshape).
 fn ensure_overwrite<'s, T: Copy + Default>(
     slot: &'s mut Option<Tensor<T>>,
     stats: &mut ExecStats,
@@ -1068,20 +1049,20 @@ impl PlanePool {
 /// bit-identical output blocks on every input.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernels {
-    /// The flat-slice micro-kernels fed by the plan's packed parameter
-    /// cache (interior/border split, zero per-frame prep) — the default
-    /// for raw [`execute`] callers.
+    /// The packed nest (`kernels::conv3` and friends, fed by the
+    /// plan's packed parameter cache) at the portable scalar tier
+    /// ([`SimdLevel::Scalar`]), wide lanes — the default for raw
+    /// [`execute`] callers.
     #[default]
     Packed,
     /// The kept pre-packing scalar kernels
     /// ([`crate::kernels::reference`]): bit-identical output, used as the
     /// measured perf baseline and the parity-test oracle.
     Reference,
-    /// Explicit SIMD micro-kernels ([`crate::kernels::simd`]) over the
-    /// same packed layout, dispatched at plan time by runtime feature
-    /// detection ([`BlockPlan::simd_level`]); instructions whose plan
-    /// entry carries the verifier's `narrow_acc` proof additionally run
-    /// the 8-wide `i32` accumulation path.
+    /// The same packed nest at the SIMD tier resolved at plan time by
+    /// runtime feature detection ([`BlockPlan::simd_level`]);
+    /// instructions whose plan entry carries the verifier's `narrow_acc`
+    /// proof run on the wrapping `i32` lane (8-wide on AVX2).
     Simd,
 }
 
@@ -1115,8 +1096,7 @@ impl Kernels {
 
     /// The [`KernelVariant`] tag an execution of this selection reports,
     /// given the plan's resolved SIMD tier.
-    pub fn variant(self, level: kernels::simd::SimdLevel) -> KernelVariant {
-        use kernels::simd::SimdLevel;
+    pub fn variant(self, level: SimdLevel) -> KernelVariant {
         match self {
             Kernels::Packed => KernelVariant::Packed,
             Kernels::Reference => KernelVariant::Reference,
@@ -1424,32 +1404,26 @@ fn exec_conv3(
         chh,
         cw,
     );
-    match kind {
-        Kernels::Packed => {
-            kernels::conv3_acc_packed(ins, input, &plan.packed[idx].conv3[0], conv_acc);
+    let pk = &plan.packed[idx];
+    match packed_lane(kind, plan, idx) {
+        Some((level, false)) => kernels::conv3(ins, input, &pk.conv3[0], conv_acc, level),
+        Some((level, true)) => {
+            // Verifier-licensed narrow lane: the final per-element
+            // conv-stage sum provably fits `i32`, so the wrapping `i32`
+            // accumulation recovers it exactly and the widened copy feeds
+            // the shared `i64` epilogue.
+            let acc32 = ensure_overwrite(
+                &mut pool.acc_a32,
+                &mut pool.stats,
+                out_planes * LEAF_CH,
+                chh,
+                cw,
+            );
+            kernels::conv3(ins, input, &pk.conv3[0], acc32, level);
+            kernels::widen_acc(conv_acc, acc32);
+            pool.stats.narrow_instrs += 1;
         }
-        Kernels::Simd => {
-            let pk = &plan.packed[idx];
-            if pk.narrow_acc {
-                // Verifier-licensed narrow path: the final per-element
-                // conv-stage sum provably fits `i32`, so the wrapping
-                // `i32`-lane accumulation recovers it exactly and the
-                // widened copy feeds the shared `i64` epilogue.
-                let acc32 = ensure_overwrite(
-                    &mut pool.acc_a32,
-                    &mut pool.stats,
-                    out_planes * LEAF_CH,
-                    chh,
-                    cw,
-                );
-                kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], acc32, plan.simd);
-                kernels::widen_acc(conv_acc, acc32);
-                pool.stats.narrow_instrs += 1;
-            } else {
-                kernels::conv3_acc_packed_simd(ins, input, &pk.conv3[0], conv_acc, plan.simd);
-            }
-        }
-        Kernels::Reference => {
+        None => {
             let weights = |op_: usize, ig: usize| {
                 let leaf = if ins.opcode == Opcode::Upx2 {
                     &leafs[op_]
@@ -1502,7 +1476,7 @@ fn exec_conv3(
         }
     }
     if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc));
+        merge_extrema(&mut t.acc, scan(acc));
     }
     // Requantize to the destination format, then Dst Reorder (pooling).
     let dst_key = PlaneKey::from(ins.dst);
@@ -1511,7 +1485,7 @@ fn exec_conv3(
         let quantized = ensure_overwrite(&mut pool.quant, &mut pool.stats, qc, qh, qw);
         requantize_into(acc, prod_frac, ins.q.dst, quantized);
         if let Some(t) = trace.as_deref_mut() {
-            merge_extrema(&mut t.dst, scan_i16(quantized));
+            merge_extrema(&mut t.dst, scan(quantized));
         }
         let factor = ins.pool_factor;
         if qh / factor != ins.out_size.1 || qw / factor != ins.out_size.0 {
@@ -1560,7 +1534,7 @@ fn exec_conv3(
         );
         requantize_into(acc, prod_frac, ins.q.dst, dst);
         if let Some(t) = trace {
-            merge_extrema(&mut t.dst, scan_i16(dst));
+            merge_extrema(&mut t.dst, scan(dst));
         }
         let (len, px) = (dst.len(), dst.height() * dst.width());
         count_write(&mut pool.stats, program, dst_key, len, px);
@@ -1594,51 +1568,17 @@ fn exec_conv1(
     let prod_frac = w1q.frac() as i32 + ins.q.src.frac() as i32;
     let side = input.height();
     let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
-    match kind {
-        Kernels::Packed => {
-            let packed = plan.packed[idx].conv1.as_ref().expect("CONV1 packs a 1x1");
-            // Bias fill over row slices, zero columns hoisted to the
-            // plan-time compaction.
-            kernels::fill_bias(acc, &packed.bias);
-            for leaf in 0..packed.leaves {
-                kernels::conv1_leaf_acc_packed(packed, leaf, input, leaf * LEAF_CH, acc);
-            }
+    let pk = &plan.packed[idx];
+    match packed_lane(kind, plan, idx) {
+        Some((level, false)) => conv1_packed(pk, input, acc, level),
+        Some((level, true)) => {
+            // Licensed narrow lane (see `exec_conv3`).
+            let acc32 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
+            conv1_packed(pk, input, acc32, level);
+            kernels::widen_acc(acc, acc32);
+            pool.stats.narrow_instrs += 1;
         }
-        Kernels::Simd => {
-            let pk = &plan.packed[idx];
-            let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
-            if pk.narrow_acc {
-                // Licensed narrow path (see `exec_conv3`).
-                let acc32 =
-                    ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
-                kernels::fill_bias_narrow(acc32, &packed.bias);
-                for leaf in 0..packed.leaves {
-                    kernels::conv1_leaf_acc_packed_simd_narrow(
-                        packed,
-                        leaf,
-                        input,
-                        leaf * LEAF_CH,
-                        acc32,
-                        plan.simd,
-                    );
-                }
-                kernels::widen_acc(acc, acc32);
-                pool.stats.narrow_instrs += 1;
-            } else {
-                kernels::fill_bias(acc, &packed.bias);
-                for leaf in 0..packed.leaves {
-                    kernels::conv1_leaf_acc_packed_simd(
-                        packed,
-                        leaf,
-                        input,
-                        leaf * LEAF_CH,
-                        acc,
-                        plan.simd,
-                    );
-                }
-            }
-        }
-        Kernels::Reference => {
+        None => {
             for oc in 0..LEAF_CH {
                 let mut b = 0i64;
                 for leaf in leafs {
@@ -1671,7 +1611,7 @@ fn exec_conv1(
         }
     }
     if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc));
+        merge_extrema(&mut t.acc, scan(acc));
     }
     let dst_key = PlaneKey::from(ins.dst);
     let dst = checkout(
@@ -1685,7 +1625,7 @@ fn exec_conv1(
     );
     requantize_into(acc, prod_frac, ins.q.dst, dst);
     if let Some(t) = trace {
-        merge_extrema(&mut t.dst, scan_i16(dst));
+        merge_extrema(&mut t.dst, scan(dst));
     }
     let (len, px) = (dst.len(), dst.height() * dst.width());
     count_write(&mut pool.stats, program, dst_key, len, px);
@@ -1718,105 +1658,77 @@ fn exec_er(
         ins.in_size.0,
         plan.src_slots(idx),
     )?;
-    let packed = &plan.packed[idx];
-    if kind == Kernels::Simd && packed.narrow_acc {
-        // Licensed narrow path. For ER the verifier's `narrow_acc` proves
-        // *both* stages fit `i32`: the per-leaf 3×3 expansion accumulators
-        // (which the mid requantizer consumes, so they must be exact, not
-        // merely congruent) and the pre-srcS 1×1 reduction accumulator.
-        let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-        {
+    let pk = &plan.packed[idx];
+    match packed_lane(kind, plan, idx) {
+        Some((level, false)) => {
+            let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+            let scratch = ErScratch {
+                acc1,
+                acc3: &mut pool.acc_b,
+                mid: &mut pool.mid,
+                stats: &mut pool.stats,
+            };
+            er_packed(scratch, ins, input, pk, level, trace.as_deref_mut());
+        }
+        Some((level, true)) => {
+            // Licensed narrow lane. For ER the verifier's `narrow_acc`
+            // proves *both* stages fit `i32`: the per-leaf 3×3 expansion
+            // accumulators (which the mid requantizer consumes, so they
+            // must be exact, not merely congruent) and the pre-srcS 1×1
+            // reduction accumulator.
             let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
-            kernels::fill_bias_narrow(acc1, &p1.bias);
+            let scratch = ErScratch {
+                acc1,
+                acc3: &mut pool.acc_b32,
+                mid: &mut pool.mid,
+                stats: &mut pool.stats,
+            };
+            er_packed(scratch, ins, input, pk, level, trace.as_deref_mut());
+            let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+            kernels::widen_acc(acc1, pool.acc_a32.as_ref().expect("accumulated above"));
+            pool.stats.narrow_instrs += 1;
         }
-        for li in 0..leafs.len() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-            let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-            kernels::conv3_acc_packed_simd_narrow(ins, input, &packed.conv3[li], acc3, plan.simd);
-            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-                let v = if a < 0 { 0 } else { a as i64 }; // ER's internal ReLU
-                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-            }
-            // LCONV1x1: plane's columns accumulate into the 32ch output.
-            let acc1 = pool.acc_a32.as_mut().expect("bias-filled above");
-            kernels::conv1_leaf_acc_packed_simd_narrow(p1, li, mid, 0, acc1, plan.simd);
-        }
-        // Widen into the shared `i64` accumulator for the epilogue.
-        let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-        kernels::widen_acc(acc1, pool.acc_a32.as_ref().expect("bias-filled above"));
-        pool.stats.narrow_instrs += 1;
-    } else {
-        let acc1 = match kind {
-            Kernels::Packed | Kernels::Simd => {
-                // Pre-aligned 1x1 biases, already summed across leaves.
-                let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                kernels::fill_bias(acc1, &p1.bias);
-                acc1
-            }
-            Kernels::Reference => {
-                let acc1 = ensure(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-                // 1x1 biases (first leaf only carries nonzero values).
-                for leaf in leafs {
-                    for oc in 0..LEAF_CH {
-                        let b = align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod1);
-                        if b != 0 {
-                            for y in 0..chh {
-                                for x in 0..cw {
-                                    *acc1.at_mut(oc, y, x) += b;
-                                }
-                            }
-                        }
+        None => {
+            let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+            // 1x1 biases (first leaf only carries nonzero values).
+            for oc in 0..LEAF_CH {
+                let b: i64 = leafs
+                    .iter()
+                    .map(|leaf| align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod1))
+                    .sum();
+                for y in 0..chh {
+                    for x in 0..cw {
+                        *acc1.at_mut(oc, y, x) = b;
                     }
                 }
-                acc1
             }
-        };
-        for (li, leaf) in leafs.iter().enumerate() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-            let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
-            match kind {
-                Kernels::Packed => kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3),
-                Kernels::Simd => {
-                    kernels::conv3_acc_packed_simd(ins, input, &packed.conv3[li], acc3, plan.simd)
-                }
-                Kernels::Reference => {
+            // Each expansion plane convolves the single 32ch input group.
+            let mut single = Instruction::clone(ins);
+            single.in_groups = 1;
+            let b3_frac = ins.q.b3.frac() as i32;
+            let scratch = ErScratch {
+                acc1,
+                acc3: &mut pool.acc_b,
+                mid: &mut pool.mid,
+                stats: &mut pool.stats,
+            };
+            er_leaves(
+                scratch,
+                ins,
+                leafs.len(),
+                trace.as_deref_mut(),
+                |li, acc3| {
+                    let leaf = &leafs[li];
                     let weights = |_: usize, _: usize| leaf.w3.as_slice();
-                    let b3_frac = ins.q.b3.frac() as i32;
                     let biases = |_: usize| -> Vec<i64> {
                         (0..LEAF_CH)
                             .map(|oc| align_code(leaf.b3[oc] as i64, b3_frac, prod3))
                             .collect()
                     };
-                    let mut single = Instruction::clone(ins);
-                    single.in_groups = 1;
-                    // The plane convolves the single 32ch input group.
                     kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
-                }
-            }
-            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-            if let Some(t) = trace.as_deref_mut() {
-                merge_extrema(&mut t.er_acc3, scan_i64(acc3));
-            }
-            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-                let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
-                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-            }
-            // LCONV1x1: plane's columns accumulate into the 32ch output.
-            match kind {
-                Kernels::Packed => {
-                    let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                    kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
-                }
-                Kernels::Simd => {
-                    let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                    kernels::conv1_leaf_acc_packed_simd(p1, li, mid, 0, acc1, plan.simd);
-                }
-                Kernels::Reference => kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1),
-            }
+                },
+                |li, mid, acc1| kernels::reference::conv1_leaf_acc(&leafs[li].w1, mid, 0, acc1),
+            );
         }
     }
     pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
@@ -1830,7 +1742,7 @@ fn exec_er(
         add_aligned(acc1, plane, sq.frac() as i32, prod1);
     }
     if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc1));
+        merge_extrema(&mut t.acc, scan(acc1));
     }
     let dst_key = PlaneKey::from(ins.dst);
     let dst = checkout(
@@ -1844,11 +1756,106 @@ fn exec_er(
     );
     requantize_into(acc1, prod1, ins.q.dst, dst);
     if let Some(t) = trace {
-        merge_extrema(&mut t.dst, scan_i16(dst));
+        merge_extrema(&mut t.dst, scan(dst));
     }
     let (len, px) = (dst.len(), dst.height() * dst.width());
     count_write(&mut pool.stats, program, dst_key, len, px);
     Ok(())
+}
+
+/// Which packed lane one instruction runs on: `None` for the reference
+/// kernels, else the [`SimdLevel`] of the row kernels and whether the
+/// narrow `i32` lane is licensed. [`Kernels::Packed`] is the packed nest at
+/// the portable scalar tier with wide lanes; [`Kernels::Simd`] runs at the
+/// plan's tier, narrow where the instruction carries `narrow_acc`.
+fn packed_lane(kind: Kernels, plan: &BlockPlan<'_>, idx: usize) -> Option<(SimdLevel, bool)> {
+    match kind {
+        Kernels::Reference => None,
+        Kernels::Packed => Some((SimdLevel::Scalar, false)),
+        Kernels::Simd => Some((plan.simd, plan.packed[idx].narrow_acc)),
+    }
+}
+
+/// The packed `CONV1` on lane `L`: bias fill, then every leaf's 1×1 MAC
+/// over its own 32-channel input group.
+fn conv1_packed<L: Lane>(
+    pk: &PackedKernelParams,
+    input: &Tensor<i16>,
+    acc: &mut Tensor<L>,
+    level: SimdLevel,
+) {
+    let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
+    kernels::fill_bias(acc, &packed.bias);
+    for leaf in 0..packed.leaves {
+        kernels::conv1(packed, leaf, input, leaf * LEAF_CH, acc, level);
+    }
+}
+
+/// The accumulators one `ER` execution runs on, in lane `L`.
+struct ErScratch<'p, L> {
+    /// The 32-channel 1×1 reduction accumulator, already bias-filled.
+    acc1: &'p mut Tensor<L>,
+    /// The per-leaf 3×3 expansion accumulator.
+    acc3: &'p mut Option<Tensor<L>>,
+    /// The requantized expansion plane.
+    mid: &'p mut Option<Tensor<i16>>,
+    stats: &'p mut ExecStats,
+}
+
+/// The packed `ER` on lane `L`: 1×1 bias fill, then [`er_leaves`] over
+/// the packed 3×3 nest and 1×1 leaf MAC at `level`.
+fn er_packed<L: Lane>(
+    s: ErScratch<'_, L>,
+    ins: &Instruction,
+    input: &Tensor<i16>,
+    pk: &PackedKernelParams,
+    level: SimdLevel,
+    trace: Option<&mut InstrTrace>,
+) {
+    let p1 = pk.conv1.as_ref().expect("ER packs a 1x1");
+    kernels::fill_bias(s.acc1, &p1.bias);
+    er_leaves(
+        s,
+        ins,
+        pk.conv3.len(),
+        trace,
+        |li, acc3| kernels::conv3(ins, input, &pk.conv3[li], acc3, level),
+        |li, mid, acc1| kernels::conv1(p1, li, mid, 0, acc1, level),
+    );
+}
+
+/// The `ER` per-leaf loop: each leaf's expansion plane is convolved
+/// (`expand`), passed through ER's internal ReLU, requantized to the mid
+/// format, and reduced into `s.acc1` by the leaf's 1×1 columns (`reduce`).
+fn er_leaves<L: Lane>(
+    s: ErScratch<'_, L>,
+    ins: &Instruction,
+    leaves: usize,
+    mut trace: Option<&mut InstrTrace>,
+    mut expand: impl FnMut(usize, &mut Tensor<L>),
+    mut reduce: impl FnMut(usize, &Tensor<i16>, &mut Tensor<L>),
+) {
+    // INVARIANT: format presence validated by `BlockPlan::new`.
+    let midq = ins.q.mid.expect("plan validated the mid format");
+    let prod3 = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
+    let (cw, chh) = ins.conv_out_size();
+    for li in 0..leaves {
+        // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+        let acc3 = ensure_overwrite(s.acc3, s.stats, LEAF_CH, chh, cw);
+        expand(li, acc3);
+        s.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+        if let Some(t) = trace.as_deref_mut() {
+            merge_extrema(&mut t.er_acc3, scan(acc3));
+        }
+        let mid = ensure_overwrite(s.mid, s.stats, LEAF_CH, chh, cw);
+        for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
+            let v: i64 = a.into();
+            let v = v.max(0); // ER's internal ReLU
+            *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
+        }
+        // LCONV1x1: plane's columns accumulate into the 32ch output.
+        reduce(li, mid, s.acc1);
+    }
 }
 
 /// Assembles the logical output block from the pooled DO planes.
@@ -1889,63 +1896,6 @@ fn assemble_output<'p>(
         }
     }
     Ok(out)
-}
-
-/// Executes one program over one input block — the plan-then-execute API
-/// behind a stateful handle, kept for one-shot callers and tests.
-///
-/// # Example
-///
-/// See the crate-level tests and `tests/pipeline.rs` for end-to-end usage;
-/// the executor is normally driven by `ecnn-core`'s block pipeline, which
-/// holds a [`BlockPlan`] and a [`PlanePool`] per worker instead.
-pub struct BlockExecutor<'a> {
-    plan: Result<BlockPlan<'a>, ExecError>,
-    pool: PlanePool,
-}
-
-impl<'a> BlockExecutor<'a> {
-    /// Creates an executor for `program` with the IDU-decoded `leafs` (one
-    /// vector per instruction, as produced by the compiler or by
-    /// `PackedParams::unpack`). Planning errors surface on the first
-    /// [`BlockExecutor::run`].
-    pub fn new(program: &'a Program, leafs: &'a [Vec<LeafParams>]) -> Self {
-        Self {
-            plan: BlockPlan::new(program, leafs),
-            pool: PlanePool::new(),
-        }
-    }
-
-    /// Runs the program on one input block.
-    ///
-    /// `input` holds the *logical* input channels (e.g. 3 for RGB) as codes
-    /// in the program's `di_q` format, with side `program.di_side`. Returns
-    /// the logical output block (side `program.do_side`).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub fn run(&mut self, input: &Tensor<i16>) -> Result<Tensor<i16>, ExecError> {
-        match &self.plan {
-            Ok(plan) => execute(plan, &mut self.pool, input).cloned(),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> ExecStats {
-        self.pool.stats()
-    }
-
-    /// The execution plan, when planning succeeded.
-    pub fn plan(&self) -> Result<&BlockPlan<'a>, &ExecError> {
-        self.plan.as_ref()
-    }
-
-    /// The executor's plane pool.
-    pub fn pool(&self) -> &PlanePool {
-        &self.pool
-    }
 }
 
 /// Guards the srcS accumulation domain: the plane must cover the
@@ -2060,7 +2010,7 @@ fn pool_into(t: &Tensor<i16>, kind: PoolKind, factor: usize, dst: &mut Tensor<i1
 }
 
 /// Convenience: quantize a float image block into input codes for
-/// [`execute`] / [`BlockExecutor::run`].
+/// [`execute`].
 pub fn quantize_input(block: &Tensor<f32>, program: &Program) -> Tensor<i16> {
     block.map(|v| program.di_q.quantize(v))
 }
@@ -2086,6 +2036,19 @@ mod tests {
     use ecnn_tensor::conv::{conv3x3_fixed, FixedConvParams, Padding};
     use ecnn_tensor::SyntheticImage;
 
+    /// Plans `leafs` against `program` and runs one block on a fresh pool,
+    /// returning the output and the pool's counters.
+    fn run_block(
+        program: &Program,
+        leafs: &[Vec<LeafParams>],
+        input: &Tensor<i16>,
+    ) -> Result<(Tensor<i16>, ExecStats), ExecError> {
+        let plan = BlockPlan::new(program, leafs)?;
+        let mut pool = PlanePool::new();
+        let out = execute(&plan, &mut pool, input)?.clone();
+        Ok((out, pool.stats()))
+    }
+
     /// Single 3->32 conv: the simulator must agree with the golden fixed
     /// kernel exactly.
     #[test]
@@ -2106,8 +2069,7 @@ mod tests {
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 3).rgb(16, 16);
         let input = img.map(|v| qm.input_q.quantize(v));
 
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (32, 14, 14));
 
         // Golden: hardware-padded 32ch input into conv3x3_fixed.
@@ -2154,8 +2116,7 @@ mod tests {
         }
         let c = compile(&qm, 12).unwrap();
         let input = Tensor::from_fn(32, 12, 12, |ch, y, x| ((ch + y * 3 + x) % 200) as i16);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (32, 10, 10));
         for ch in 0..32 {
             for y in 0..10 {
@@ -2173,10 +2134,8 @@ mod tests {
         let c = compile(&qm, 64).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 9).rgb(64, 64);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, stats) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (3, 52, 52));
-        let stats = ex.stats();
         assert_eq!(stats.instructions, 6);
         assert!(stats.mac3 > 0 && stats.mac1 > 0);
         assert!(stats.di_bytes > 0 && stats.do_bytes > 0);
@@ -2191,8 +2150,7 @@ mod tests {
         assert_eq!(c.program.do_side, 42);
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 4).rgb(32, 32);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (3, 42, 42));
     }
 
@@ -2203,8 +2161,7 @@ mod tests {
         let c = compile(&qm, 64).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 5).rgb(64, 64);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         // 64 -> unshuffle 32 -> 5 convs -> 22 -> shuffle -> 44.
         assert_eq!(out.shape(), (3, 44, 44));
     }
@@ -2221,12 +2178,8 @@ mod tests {
             .collect();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 2).rgb(48, 48);
         let input = quantize_input(&img, &c.program);
-        let out_a = BlockExecutor::new(&c.program, &c.leafs)
-            .run(&input)
-            .unwrap();
-        let out_b = BlockExecutor::new(&c.program, &decoded)
-            .run(&input)
-            .unwrap();
+        let (out_a, _) = run_block(&c.program, &c.leafs, &input).unwrap();
+        let (out_b, _) = run_block(&c.program, &decoded, &input).unwrap();
         assert_eq!(out_a, out_b);
     }
 
@@ -2235,11 +2188,12 @@ mod tests {
         let m = ErNetSpec::new(ErNetTask::Dn, 1, 1, 0).build().unwrap();
         let qm = QuantizedModel::uniform(&m);
         let c = compile(&qm, 32).unwrap();
-        // Run with too few leaf sets.
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs[..2]);
-        let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 1).rgb(32, 32);
-        let input = quantize_input(&img, &c.program);
-        assert!(matches!(ex.run(&input), Err(ExecError::Leafs(_))));
+        // Plan with too few leaf sets: the bookkeeping check rejects it
+        // before any block runs.
+        assert!(matches!(
+            BlockPlan::new(&c.program, &c.leafs[..2]),
+            Err(ExecError::Leafs(_))
+        ));
     }
 
     #[test]
@@ -2249,8 +2203,10 @@ mod tests {
         let c = compile(&qm, 32).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 1).rgb(16, 16);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        assert!(matches!(ex.run(&input), Err(ExecError::Shape(_))));
+        assert!(matches!(
+            run_block(&c.program, &c.leafs, &input),
+            Err(ExecError::Shape(_))
+        ));
     }
 
     #[test]
@@ -2372,10 +2328,11 @@ mod tests {
             &SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 2).rgb(32, 32),
             &c.program,
         );
-        let mut warm = BlockExecutor::new(&c.program, &c.leafs);
-        warm.run(&a).unwrap();
-        let warm_out = warm.run(&b).unwrap();
-        let fresh_out = BlockExecutor::new(&c.program, &c.leafs).run(&b).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        let mut warm = PlanePool::new();
+        execute(&plan, &mut warm, &a).unwrap();
+        let warm_out = execute(&plan, &mut warm, &b).unwrap().clone();
+        let (fresh_out, _) = run_block(&c.program, &c.leafs, &b).unwrap();
         assert_eq!(warm_out, fresh_out);
     }
 

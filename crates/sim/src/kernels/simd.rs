@@ -29,9 +29,10 @@
 //!   intermediate wraps (in products or partial sums) are harmless under
 //!   the license.
 //!
-//! The scalar narrow fallbacks use explicit `wrapping_*` ops for the same
-//! modular semantics (the dev/test profiles build with
-//! `overflow-checks = true`).
+//! The scalar fallbacks are generic over the lane
+//! ([`crate::kernels::Lane::mul_add`]); on the `i32` lane they use
+//! explicit `wrapping_*` ops for the same modular semantics (the dev/test
+//! profiles build with `overflow-checks = true`).
 //!
 //! # Safety
 //!
@@ -47,6 +48,7 @@
 //!    contracts documented on each public wrapper).
 #![allow(unsafe_code)]
 
+use crate::kernels::Lane;
 use std::sync::OnceLock;
 
 /// The instruction-set tier the row kernels dispatch on. All variants
@@ -111,33 +113,13 @@ pub fn detect() -> SimdLevel {
 }
 
 // --------------------------------------------------------------------------
-// Scalar fallbacks (also the tail loops of every vector kernel).
+// Scalar fallbacks (also the tail loops of every vector kernel), generic
+// over the accumulator lane: `i64` exact, `i32` wrapping.
 // --------------------------------------------------------------------------
 
-fn scalar_row_interior_narrow(acc: &mut [i32], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    let (t0, t1, t2) = (taps[0], taps[1], taps[2]);
-    let r0 = &row[..n];
-    let r1 = &row[1..n + 1];
-    let r2 = &row[2..n + 2];
-    for (((a, &s0), &s1), &s2) in acc.iter_mut().zip(r0).zip(r1).zip(r2) {
-        *a = a
-            .wrapping_add(t0.wrapping_mul(s0 as i32))
-            .wrapping_add(t1.wrapping_mul(s1 as i32))
-            .wrapping_add(t2.wrapping_mul(s2 as i32));
-    }
-}
-
-fn scalar_ch_mac_narrow(acc: &mut [i32], src: &[i16], w: i32) {
+fn scalar_ch_mac<L: Lane>(acc: &mut [L], src: &[i16], w: i32) {
     for (a, &s) in acc.iter_mut().zip(src) {
-        *a = a.wrapping_add(w.wrapping_mul(s as i32));
-    }
-}
-
-fn scalar_ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
-    let w = w as i64;
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a += w * s as i64;
+        *a = a.mul_add(w, s);
     }
 }
 
@@ -184,7 +166,7 @@ mod avx2 {
             }
             j += 8;
         }
-        super::scalar_row_interior_narrow(&mut acc[j..], &row[j..], taps);
+        crate::kernels::accum_row_interior(&mut acc[j..], &row[j..], taps);
     }
 
     #[target_feature(enable = "avx2")]
@@ -246,7 +228,7 @@ mod avx2 {
             }
             j += 8;
         }
-        super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
+        super::scalar_ch_mac(&mut acc[j..], &src[j..n], w);
     }
 
     #[target_feature(enable = "avx2")]
@@ -269,7 +251,7 @@ mod avx2 {
             }
             j += 4;
         }
-        super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
+        super::scalar_ch_mac(&mut acc[j..], &src[j..n], w);
     }
 }
 
@@ -335,7 +317,7 @@ mod sse2 {
             }
             j += 4;
         }
-        super::scalar_row_interior_narrow(&mut acc[j..], &row[j..], taps);
+        crate::kernels::accum_row_interior(&mut acc[j..], &row[j..], taps);
     }
 
     #[target_feature(enable = "sse2")]
@@ -356,7 +338,7 @@ mod sse2 {
             }
             j += 4;
         }
-        super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
+        super::scalar_ch_mac(&mut acc[j..], &src[j..n], w);
     }
 }
 
@@ -389,7 +371,7 @@ mod neon {
             }
             j += 4;
         }
-        super::scalar_row_interior_narrow(&mut acc[j..], &row[j..], taps);
+        crate::kernels::accum_row_interior(&mut acc[j..], &row[j..], taps);
     }
 
     #[target_feature(enable = "neon")]
@@ -432,7 +414,7 @@ mod neon {
             }
             j += 4;
         }
-        super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
+        super::scalar_ch_mac(&mut acc[j..], &src[j..n], w);
     }
 
     #[target_feature(enable = "neon")]
@@ -452,7 +434,7 @@ mod neon {
             }
             j += 4;
         }
-        super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
+        super::scalar_ch_mac(&mut acc[j..], &src[j..n], w);
     }
 }
 
@@ -496,51 +478,8 @@ pub fn row_interior_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps:
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::row_interior_narrow(acc, row, taps) },
-        _ => scalar_row_interior_narrow(acc, row, taps),
+        _ => crate::kernels::accum_row_interior(acc, row, taps),
     }
-}
-
-/// SIMD [`crate::kernels::accum_row_padded`] on `i64` accumulators:
-/// same-width `row`/`acc`, border columns peeled scalar (dropping their
-/// out-of-image taps), interior span vectorized.
-#[inline]
-pub fn row_padded_wide(level: SimdLevel, acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    debug_assert_eq!(n, row.len());
-    let (t0, t1, t2) = (taps[0] as i64, taps[1] as i64, taps[2] as i64);
-    if n == 1 {
-        acc[0] += t1 * row[0] as i64;
-        return;
-    }
-    acc[0] += t1 * row[0] as i64 + t2 * row[1] as i64;
-    if n > 2 {
-        // Interior element `x` (1 ≤ x ≤ n-2) reads `row[x-1..x+2]`: an
-        // interior pass over `acc[1..n-1]` with the full row (length
-        // `(n-2) + 2`) is exactly that window.
-        row_interior_wide(level, &mut acc[1..n - 1], row, taps);
-    }
-    acc[n - 1] += t0 * row[n - 2] as i64 + t1 * row[n - 1] as i64;
-}
-
-/// Narrow (`i32`, wrapping) counterpart of [`row_padded_wide`].
-#[inline]
-pub fn row_padded_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    debug_assert_eq!(n, row.len());
-    let (t0, t1, t2) = (taps[0], taps[1], taps[2]);
-    if n == 1 {
-        acc[0] = acc[0].wrapping_add(t1.wrapping_mul(row[0] as i32));
-        return;
-    }
-    acc[0] = acc[0]
-        .wrapping_add(t1.wrapping_mul(row[0] as i32))
-        .wrapping_add(t2.wrapping_mul(row[1] as i32));
-    if n > 2 {
-        row_interior_narrow(level, &mut acc[1..n - 1], row, taps);
-    }
-    acc[n - 1] = acc[n - 1]
-        .wrapping_add(t0.wrapping_mul(row[n - 2] as i32))
-        .wrapping_add(t1.wrapping_mul(row[n - 1] as i32));
 }
 
 /// Flat channel-slice multiply-add on `i64` accumulators (the 1×1 stage):
@@ -554,7 +493,7 @@ pub fn ch_mac_wide(level: SimdLevel, acc: &mut [i64], src: &[i16], w: i32) {
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::ch_mac_wide(acc, src, w) },
-        _ => scalar_ch_mac_wide(acc, src, w),
+        _ => scalar_ch_mac(acc, src, w),
     }
 }
 
@@ -571,7 +510,7 @@ pub fn ch_mac_narrow(level: SimdLevel, acc: &mut [i32], src: &[i16], w: i32) {
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::ch_mac_narrow(acc, src, w) },
-        _ => scalar_ch_mac_narrow(acc, src, w),
+        _ => scalar_ch_mac(acc, src, w),
     }
 }
 
@@ -607,7 +546,7 @@ mod tests {
             let mut want64 = vec![5i64; n];
             crate::kernels::accum_row_interior(&mut want64, &r, taps);
             let mut want32 = vec![5i32; n];
-            scalar_row_interior_narrow(&mut want32, &r, taps);
+            crate::kernels::accum_row_interior(&mut want32, &r, taps);
             for &l in &levels() {
                 let mut a = vec![5i64; n];
                 row_interior_wide(l, &mut a, &r, taps);
@@ -621,17 +560,23 @@ mod tests {
 
     #[test]
     fn padded_matches_scalar_for_all_levels_and_edge_widths() {
+        use crate::kernels::{accum_row_interior, row_padded};
         for n in [1usize, 2, 3, 4, 5, 8, 9, 17, 33] {
             let r = row(n, n as i64 + 11);
             let taps = [-3, 12, 2];
+            // Oracle: the scalar interior kernel over the explicitly
+            // zero-padded row.
+            let mut framed = vec![0i16];
+            framed.extend_from_slice(&r);
+            framed.push(0);
             let mut want = vec![-9i64; n];
-            crate::kernels::accum_row_padded(&mut want, &r, taps);
+            accum_row_interior(&mut want, &framed, taps);
             for &l in &levels() {
                 let mut a = vec![-9i64; n];
-                row_padded_wide(l, &mut a, &r, taps);
+                row_padded(l, &mut a, &r, taps);
                 assert_eq!(a, want, "wide level {l} n {n}");
                 let mut a = vec![-9i32; n];
-                row_padded_narrow(l, &mut a, &r, taps);
+                row_padded(l, &mut a, &r, taps);
                 let widened: Vec<i64> = a.iter().map(|&v| v as i64).collect();
                 assert_eq!(widened, want, "narrow level {l} n {n}");
             }
@@ -643,7 +588,7 @@ mod tests {
         for n in [1usize, 4, 7, 8, 9, 40, 101] {
             let s = row(n, 3);
             let mut want = vec![17i64; n];
-            scalar_ch_mac_wide(&mut want, &s, -777);
+            scalar_ch_mac(&mut want, &s, -777);
             for &l in &levels() {
                 let mut a = vec![17i64; n];
                 ch_mac_wide(l, &mut a, &s, -777);

@@ -11,12 +11,13 @@
 //!   computing every plane's shape and lifetime, plus the packed
 //!   kernel-parameter cache) and an execute phase ([`exec::execute`])
 //!   running in place against a reusable [`exec::PlanePool`] arena.
-//! * [`kernels`] — the flat-slice convolution micro-kernels the executor
-//!   dispatches to (interior/border split over raw row slices), together
+//! * [`kernels`] — the one packed convolution nest the executor
+//!   dispatches to (interior/border split over raw row slices), generic
+//!   over the accumulator lane (exact `i64`, or the verifier-licensed
+//!   wrapping `i32`), with its row kernels in [`kernels::simd`]
+//!   (AVX2/SSE2/NEON with runtime dispatch, scalar fallback), together
 //!   with the kept scalar reference kernels used as perf baseline and
-//!   parity oracle, and the explicit-SIMD variants in [`kernels::simd`]
-//!   (AVX2/SSE2/NEON with runtime dispatch, plus the verifier-licensed
-//!   narrow `i32` accumulation path).
+//!   parity oracle.
 //! * [`timing`] — the **cycle** model: the two-stage instruction pipeline
 //!   (IDU parameter decoding for instruction *i+1* overlaps CIU compute of
 //!   instruction *i*), one leaf-module per 4×2 tile per cycle in the CIU,
@@ -45,9 +46,8 @@ pub mod timing;
 pub use config::EcnnConfig;
 pub use cost::{AreaReport, PowerReport};
 pub use exec::{
-    crosscheck_plan, execute, execute_traced, execute_with, BlockExecutor, BlockPlan, ExecError,
-    ExecStats, ExecTrace, InstrTrace, KernelVariant, Kernels, PlaneInfo, PlaneKey, PlanePool,
-    RangeViolation,
+    crosscheck_plan, execute, execute_traced, execute_with, BlockPlan, ExecError, ExecStats,
+    ExecTrace, InstrTrace, KernelVariant, Kernels, PlaneInfo, PlaneKey, PlanePool, RangeViolation,
 };
 pub use kernels::simd::SimdLevel;
 pub use timing::{simulate_frame, FrameReport};

@@ -1,20 +1,30 @@
-//! The unified engine/backend API: parity with the legacy pipeline,
-//! cross-backend smoke coverage and streaming-session buffer reuse.
+//! The unified engine/backend API: parity between the model-spec and
+//! quantized-model build paths, cross-backend smoke coverage and
+//! streaming-session buffer reuse.
 
+use ecnn_repro::dram::DramPowerModel;
 use ecnn_repro::prelude::*;
+use ecnn_repro::sim::cost::PowerModel;
+use ecnn_repro::sim::EcnnConfig;
 use ecnn_repro::tensor::{ImageKind, SyntheticImage};
 
-/// The new `Engine` path must produce bit-identical pixels, identical run
-/// statistics and identical `SystemReport` numbers to the legacy
-/// `Accelerator::deploy` path on a small DnERNet.
+/// The legacy accelerator path — an engine built from an explicit
+/// `QuantizedModel` on the paper machine, power and DRAM models — must
+/// produce bit-identical pixels, identical run statistics and identical
+/// `SystemReport` numbers to an engine built from the `ErNetSpec` with
+/// builder defaults, on a small DnERNet.
 #[test]
 fn engine_matches_legacy_accelerator_path() {
-    #[allow(deprecated)]
     let legacy = {
-        use ecnn_repro::core::Accelerator;
         let model = ErNetSpec::new(ErNetTask::Dn, 2, 1, 0).build().unwrap();
-        let qm = QuantizedModel::uniform(&model);
-        Accelerator::paper().deploy(&qm, 48).unwrap()
+        Engine::builder()
+            .quantized(QuantizedModel::uniform(&model))
+            .block(48)
+            .machine(EcnnConfig::paper())
+            .power(PowerModel::paper_40nm())
+            .dram_power(DramPowerModel::DDR4_3200)
+            .build()
+            .unwrap()
     };
     let engine = Engine::builder()
         .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
@@ -29,7 +39,7 @@ fn engine_matches_legacy_accelerator_path() {
     assert_eq!(engine_out, legacy_out, "pixels must be bit-identical");
     assert_eq!(engine_stats, legacy_stats);
 
-    let legacy_report = legacy.system_report(RealTimeSpec::UHD30);
+    let legacy_report = legacy.system_report_at(RealTimeSpec::UHD30);
     let engine_report = engine.system_report();
     assert_eq!(engine_report.frame, legacy_report.frame);
     assert_eq!(engine_report.meets_realtime, legacy_report.meets_realtime);

@@ -3,14 +3,23 @@
 
 use ecnn_core::Engine;
 use ecnn_isa::compile::compile;
+use ecnn_isa::params::LeafParams;
 use ecnn_isa::params::QuantizedModel;
+use ecnn_isa::program::Program;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_nn::data::{make_dataset, TaskKind};
 use ecnn_nn::float_model::FloatModel;
 use ecnn_nn::quant::{quantize, QuantConfig};
 use ecnn_nn::train::{train, TrainConfig};
-use ecnn_sim::exec::BlockExecutor;
+use ecnn_sim::exec::{execute, BlockPlan, PlanePool};
 use ecnn_tensor::{psnr, ImageKind, SyntheticImage, Tensor};
+
+/// Plans and executes one block on a fresh pool.
+fn run_block(program: &Program, leafs: &[Vec<LeafParams>], codes: &Tensor<i16>) -> Tensor<i16> {
+    let plan = BlockPlan::new(program, leafs).unwrap();
+    let mut pool = PlanePool::new();
+    execute(&plan, &mut pool, codes).unwrap().clone()
+}
 
 fn trained_denoiser() -> (ecnn_model::Model, QuantizedModel) {
     let spec = ErNetSpec::new(ErNetTask::Dn, 1, 1, 0);
@@ -66,12 +75,8 @@ fn huffman_decoded_parameters_are_bit_exact_through_the_executor() {
 
     let img = SyntheticImage::new(ImageKind::Mixed, 77).rgb(40, 40);
     let codes = img.map(|v| qm.input_q.quantize(v));
-    let a = BlockExecutor::new(&c.program, &c.leafs)
-        .run(&codes)
-        .unwrap();
-    let b = BlockExecutor::new(&c.program, &decoded)
-        .run(&codes)
-        .unwrap();
+    let a = run_block(&c.program, &c.leafs, &codes);
+    let b = run_block(&c.program, &decoded, &codes);
     assert_eq!(a, b);
 }
 
@@ -84,9 +89,7 @@ fn executor_matches_fixed_reference_on_trained_ernet() {
     let c = compile(&qm, 36).unwrap();
     let img = SyntheticImage::new(ImageKind::Edges, 31).rgb(36, 36);
     let codes = img.map(|v| qm.input_q.quantize(v));
-    let sim_out = BlockExecutor::new(&c.program, &c.leafs)
-        .run(&codes)
-        .unwrap();
+    let sim_out = run_block(&c.program, &c.leafs, &codes);
     let ref_out = ecnn_nn::quant::fixed_forward(&qm, &codes);
     assert_eq!(sim_out, ref_out);
 }
