@@ -1,7 +1,8 @@
 //! Criterion benchmark for the sharded execute path: one frame through
 //! the block grid at 1, 2 and 4 worker shards, plus the warm-session
 //! single-worker baseline (the plan/execute split's zero-allocation
-//! steady state).
+//! steady state). The x2/x4 rows time `run_image_sharded`, i.e. a
+//! one-frame `AsyncSession` — pool start-up and shutdown included.
 //!
 //! The shard sweep only shows a wall-clock win on multi-core hosts; on a
 //! single hardware thread the x2/x4 rows measure the (small) sharding

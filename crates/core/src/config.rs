@@ -50,8 +50,9 @@ pub struct EngineConfig {
     /// Input block side (`xi`) the program is compiled for.
     pub block: usize,
     /// Worker parallelism sessions of this engine are meant to run at:
-    /// the shard count of `Engine::run_image_auto` and the pool size of
-    /// `Engine::async_session_auto`. `1` means serial; must be nonzero.
+    /// the `AsyncSession` pool size of both `Engine::run_image_auto` (a
+    /// one-frame session) and `Engine::async_session_auto`. `1` means
+    /// serial; must be nonzero.
     pub workers: usize,
     /// Accumulation kernel family every execution path runs.
     pub kernels: Kernels,

@@ -138,19 +138,10 @@ pub enum EngineError {
         /// The capability that was requested (e.g. `"run_image"`).
         capability: &'static str,
     },
-    /// A sharded worker failed; carries which shard and which block of the
-    /// frame's grid, plus the underlying error.
-    Shard {
-        /// Worker index within the sharded backend.
-        shard: usize,
-        /// Row-major index of the failing block in the frame's block grid.
-        block: usize,
-        /// The error the worker hit.
-        source: Box<EngineError>,
-    },
-    /// A sharded worker panicked (a bug, not an input error).
+    /// An [`crate::pipe::AsyncSession`] worker panicked (a bug or an
+    /// injected fault, not an input error).
     Worker {
-        /// Worker index within the sharded backend.
+        /// Worker index within the session's pool.
         shard: usize,
         /// The panic payload, when it was a `&str` / `String` message —
         /// so post-mortems name the actual panic.
@@ -229,13 +220,6 @@ impl fmt::Display for EngineError {
             } => {
                 write!(f, "backend {backend} does not support {capability}")
             }
-            EngineError::Shard {
-                shard,
-                block,
-                source,
-            } => {
-                write!(f, "shard {shard} failed at block {block}: {source}")
-            }
             EngineError::Worker { shard, message } => match message {
                 Some(msg) => write!(f, "shard {shard} worker panicked: {msg}"),
                 None => write!(f, "shard {shard} worker panicked"),
@@ -280,9 +264,7 @@ impl std::error::Error for EngineError {
             EngineError::Model(e) => Some(e),
             EngineError::Compile(e) => Some(e),
             EngineError::Exec(e) => Some(e),
-            EngineError::Shard { source, .. } | EngineError::Frame { source, .. } => {
-                Some(&**source)
-            }
+            EngineError::Frame { source, .. } => Some(&**source),
             _ => None,
         }
     }
@@ -315,7 +297,7 @@ pub struct ImageRunStats {
     pub exec: ExecStats,
     /// Supervision counters for this frame (retries, respawns, deadline
     /// hits, degradations, per-band attempt histogram). All-zero on the
-    /// unsupervised paths (serial session, sharded one-shot).
+    /// unsupervised serial session.
     pub supervisor: SupervisorCounters,
 }
 
@@ -325,7 +307,7 @@ impl ImageRunStats {
         self.exec.accumulate(&s);
     }
 
-    /// Adds another run's counters into this one (sharded-band merging).
+    /// Adds another run's counters into this one (band merging).
     pub fn merge(&mut self, other: &ImageRunStats) {
         self.absorb(other.exec, other.blocks);
         self.supervisor.absorb(&other.supervisor);
@@ -442,13 +424,6 @@ pub trait Backend {
             capability: "run_image",
         })
     }
-
-    /// The flow's block-parallel execution capability, when it has one
-    /// (`None` for purely analytical flows). [`crate::sharded::ShardedBackend`]
-    /// uses this to partition `run_image`'s block grid across workers.
-    fn block_parallel(&self) -> Option<&dyn crate::sharded::BlockParallel> {
-        None
-    }
 }
 
 /// Fluent constructor for [`Engine`]: model spec → quantization → block
@@ -556,8 +531,8 @@ impl EngineBuilder {
     }
 
     /// Accumulation kernels every execution path of this engine runs
-    /// ([`Session`], [`crate::pipe::AsyncSession`] workers,
-    /// [`crate::sharded::ShardedBackend`] shards). Defaults to
+    /// ([`Session`] and [`crate::pipe::AsyncSession`] workers, including
+    /// the one-frame sessions of [`Engine::run_image_sharded`]). Defaults to
     /// [`Kernels::Simd`] — runtime-dispatched explicit SIMD with the
     /// verifier-licensed narrow path, bit-identical to the other
     /// variants. The `ECNN_KERNELS` environment variable
@@ -582,7 +557,8 @@ impl EngineBuilder {
     }
 
     /// Worker parallelism the engine's auto paths run at:
-    /// [`Engine::run_image_auto`] shards by it,
+    /// [`Engine::run_image_auto`] runs a one-frame
+    /// [`crate::pipe::AsyncSession`] on that many workers,
     /// [`Engine::async_session_auto`] sizes its pool with it, and the
     /// autotuner searches over it. Defaults to `1` (serial); zero is a
     /// structured [`EngineError::Config`] at build.
@@ -1002,8 +978,8 @@ impl Engine {
     }
 
     /// Block-grid shape `(rows, cols)` of the output frame for `image` —
-    /// the one derivation every partitioned path (sharded, pipelined)
-    /// addresses blocks by, each at least 1 whenever [`Engine::out_dims`]
+    /// the one derivation [`crate::pipe::AsyncSession`] addresses band
+    /// blocks by, each at least 1 whenever [`Engine::out_dims`]
     /// accepts the image.
     ///
     /// # Errors
@@ -1016,8 +992,8 @@ impl Engine {
         Ok((out_h.div_ceil(xo), out_w.div_ceil(xo)))
     }
 
-    /// Number of block rows in the frame grid for `image` — the unit the
-    /// sharded backend partitions across workers (see
+    /// Number of block rows in the frame grid for `image` — the unit
+    /// [`crate::pipe::AsyncSession`] partitions across workers (see
     /// [`Engine::grid_dims`]).
     ///
     /// # Errors
@@ -1200,10 +1176,10 @@ impl<'e> Session<'e> {
     }
 
     /// Processes only the block rows `rows` of `image`'s grid, stitching
-    /// them into a band-sized frame — the building block the sharded
-    /// backend hands to each worker. Blocks are addressed in the *global*
-    /// grid, so a band's pixels are bit-identical to the same rows of a
-    /// whole-frame [`Session::process`].
+    /// them into a band-sized frame — what each
+    /// [`AsyncSession`](crate::pipe::AsyncSession) worker runs per band.
+    /// Blocks are addressed in the *global* grid, so a band's pixels are
+    /// bit-identical to the same rows of a whole-frame [`Session::process`].
     ///
     /// # Errors
     ///
@@ -1366,9 +1342,9 @@ impl EcnnBackend {
     }
 
     /// Pins the kernel family for every engine this backend builds, so
-    /// sharded and pipelined paths that construct sessions internally
-    /// (e.g. [`ShardedBackend`](crate::sharded::ShardedBackend)) honor
-    /// the choice. Unset, engines follow the usual resolution
+    /// the [`AsyncSession`](crate::pipe::AsyncSession) workers those
+    /// engines spawn (e.g. under [`crate::sharded::ShardedBackend`])
+    /// honor the choice. Unset, engines follow the usual resolution
     /// (`ECNN_KERNELS` env override, else SIMD dispatch).
     #[must_use]
     pub fn with_kernels(mut self, kernels: Kernels) -> Self {
@@ -1377,8 +1353,9 @@ impl EcnnBackend {
     }
 
     /// Pins the plane-layout choice (see [`EngineBuilder::coalesce`]) for
-    /// every engine this backend builds, so sharded and pipelined paths
-    /// that construct sessions internally honor it. Unset, engines take
+    /// every engine this backend builds, so the
+    /// [`AsyncSession`](crate::pipe::AsyncSession) workers those engines
+    /// spawn honor it. Unset, engines take
     /// the default: the verifier-licensed coalesced layout.
     #[must_use]
     pub fn with_coalesce(mut self, on: bool) -> Self {
@@ -1435,10 +1412,6 @@ impl Backend for EcnnBackend {
         image: &Tensor<f32>,
     ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
         self.engine(workload)?.run_image(image)
-    }
-
-    fn block_parallel(&self) -> Option<&dyn crate::sharded::BlockParallel> {
-        Some(self)
     }
 }
 
@@ -1639,5 +1612,30 @@ mod tests {
         // Wide features exceed the strict 3x512KB buffers: recorded, not
         // fatal (DESIGN.md §4).
         assert!(eng.compiled().program.bb_overflow);
+    }
+
+    #[test]
+    fn out_of_grid_rows_are_a_structured_error() {
+        let engine = engine(ErNetTask::Dn, 2, 40);
+        let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 56);
+        let mut session = engine.session();
+        match session.process_rows(&img, 9..12) {
+            Err(EngineError::Rows {
+                start,
+                end,
+                available,
+            }) => {
+                assert_eq!((start, end), (9, 12));
+                assert!(available < 9);
+            }
+            other => {
+                let _ = other.map(|_| ());
+                panic!("expected a Rows error");
+            }
+        }
+        assert!(matches!(
+            session.process_rows(&img, 1..1),
+            Err(EngineError::Rows { .. })
+        ));
     }
 }

@@ -14,10 +14,10 @@
 //! The same workload runs on every comparison flow through the
 //! [`Backend`] trait (`ecnn-baselines` implements it for the frame-based,
 //! fused-layer, TPU and Diffy flows), so eCNN and the paper's baselines
-//! share a single reporting surface. [`ShardedBackend`] wraps any backend
-//! and partitions a frame's block grid across worker threads — see
-//! [`sharded`] — and [`AsyncSession`] pipelines whole frame queues over a
-//! persistent worker pool with poll-based tickets — see [`pipe`].
+//! share a single reporting surface. [`AsyncSession`] pipelines frame
+//! queues over a persistent, supervised worker pool — see [`pipe`]; a
+//! one-frame session is also how [`ShardedBackend`] partitions a single
+//! frame's block grid across worker threads — see [`sharded`].
 //!
 //! # Example
 //!
@@ -68,9 +68,9 @@ pub use engine::{
     ImageRunStats, Session, Workload,
 };
 pub use faults::{Fault, FaultKind, FaultPlan, FaultRule};
-pub use pipe::{AsyncSession, FramePoll, FrameTicket};
+pub use pipe::{partition_rows, AsyncSession, FramePoll, FrameTicket};
 pub use report::{SupervisionReport, SystemReport};
-pub use sharded::{partition_rows, BlockParallel, ShardedBackend};
+pub use sharded::ShardedBackend;
 pub use supervise::{
     ladder, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters, SupervisorPolicy,
     SupervisorStats,

@@ -7,8 +7,8 @@
 //! queue strictly serially — frame `i+1` waits until frame `i` is
 //! quantized, executed *and* stitched — an `AsyncSession` keeps a small
 //! pool of long-lived worker threads (fed through a `crossbeam` MPMC
-//! channel), splits every submitted frame into the same block-row bands
-//! the sharded backend uses, and lets the stages of different frames
+//! channel), splits every submitted frame into contiguous block-row
+//! bands (see [`partition_rows`]), and lets the stages of different frames
 //! overlap: while one worker stitches the tail band of frame `i`, others
 //! are already quantizing and executing the head bands of frame `i+1`.
 //!
@@ -58,13 +58,13 @@
 //! zero per-block allocations, exactly like the serial path. A frame
 //! whose band exhausts [`SupervisorPolicy::max_attempts`] surfaces as
 //! [`EngineError::Frame`] carrying the frame's submission index, the
-//! worker (shard) and the failing block — earliest failing band wins,
-//! same as the sharded backend.
+//! worker (shard) and the failing block — earliest failing band wins.
+//! [`Engine::run_image_sharded`] is a one-frame session, so single-frame
+//! band parallelism gets the same supervision and attribution.
 
 use crate::engine::{Engine, EngineError, ImageRunStats};
 use crate::faults::Fault;
 use crate::report::SupervisionReport;
-use crate::sharded::partition_rows;
 use crate::supervise::{
     classify, ladder, panic_message, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters,
     SupervisorPolicy, SupervisorStats,
@@ -77,6 +77,30 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Splits `rows` block rows into `min(n, rows)` contiguous, non-empty,
+/// near-equal ranges covering `0..rows` (earlier ranges take the
+/// remainder). Total over every input: zero rows yield zero ranges —
+/// never a single empty one — so a worker can never be handed a band
+/// with no blocks; callers that require work reject empty grids up
+/// front ([`Engine::out_dims`] returns [`EngineError::Rows`]).
+pub fn partition_rows(rows: usize, n: usize) -> Vec<Range<usize>> {
+    if rows == 0 {
+        return Vec::new();
+    }
+    let n = n.clamp(1, rows);
+    let base = rows / n;
+    let rem = rows % n;
+    let mut start = 0;
+    (0..n)
+        .map(|i| {
+            let len = base + usize::from(i < rem);
+            let r = start..start + len;
+            start += len;
+            r
+        })
+        .collect()
+}
 
 /// Claim check for one submitted frame; redeem it with
 /// [`AsyncSession::poll`]. Tickets are cheap copies — the frame index

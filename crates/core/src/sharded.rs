@@ -1,50 +1,21 @@
-//! Multi-accelerator sharding over any [`Backend`].
+//! Multi-accelerator sharding of the eCNN flow.
 //!
-//! The block-based dataflow makes a frame's block grid embarrassingly
-//! parallel: no block reads another block's output. [`ShardedBackend`]
-//! exploits that by partitioning the grid's block rows across `N` worker
-//! threads (crossbeam scoped threads, one [`Session`](crate::engine::Session) — and therefore one
-//! plane pool — per shard), executing the shards concurrently, stitching
-//! the bands back together in deterministic block order, and merging the
-//! per-shard reports:
-//!
-//! * latency merges as the **max** over shards (cycles = max ⇒ fps = min),
-//! * traffic, energy and SRAM merge as the **sum** over shards.
-//!
-//! Pixels are bit-identical to the single-engine path at any shard count
-//! because every worker executes exactly the blocks the whole-frame flow
-//! would, against the same full input image (no halo recompute is needed —
-//! the receptive-field overlap is already part of each block's crop).
-//!
-//! Analytical [`FrameReport`]s shard the real-time spec's height at block
-//! granularity, so per-shard block counts sum exactly to the unsharded
-//! count and summed totals (DRAM bytes per frame, …) match the unsharded
-//! report up to the sub-byte truncation each shard's analytic byte count
-//! applies independently.
+//! No block reads another block's output, so a frame's block grid splits
+//! into independent block-row bands. [`Engine::run_image_sharded`] runs
+//! one frame as a one-frame [`AsyncSession`](crate::pipe::AsyncSession)
+//! over those bands — pixels bit-identical to the single-engine path at
+//! any shard count, since every worker executes exactly the blocks (and
+//! receptive-field crops) the whole-frame flow would. [`ShardedBackend`]
+//! puts that behind the [`Backend`] trait and merges per-shard
+//! analytical reports, sharded at block-row granularity so summed totals
+//! match the unsharded report up to each shard's sub-byte truncation.
 
 use crate::engine::{
     Backend, EcnnBackend, Engine, EngineError, FrameReport, ImageRunStats, Workload,
 };
+use crate::pipe::partition_rows;
 use ecnn_model::RealTimeSpec;
 use ecnn_tensor::Tensor;
-
-/// Capability of flows whose block grid can be partitioned across
-/// workers: building the bit-exact [`Engine`] that executes it. The eCNN
-/// simulator implements this; analytical baselines do not.
-pub trait BlockParallel {
-    /// Builds the engine used for sharded block execution of `workload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors.
-    fn block_engine(&self, workload: &Workload) -> Result<Engine, EngineError>;
-}
-
-impl BlockParallel for EcnnBackend {
-    fn block_engine(&self, workload: &Workload) -> Result<Engine, EngineError> {
-        self.engine(workload)
-    }
-}
 
 impl Engine {
     /// Runs one image at the engine's resolved worker count
@@ -65,142 +36,55 @@ impl Engine {
     }
 
     /// Runs one image with the frame's block grid partitioned row-wise
-    /// across `shards` worker threads, each executing on its own plane
-    /// pool; bands are stitched in deterministic block order and the
-    /// per-shard stats merged. Bit-identical pixels and identical summed
-    /// [`ImageRunStats`] vs [`Engine::run_image`] at any shard count.
+    /// across `shards` workers (clamped to the grid's block rows): a
+    /// one-frame [`AsyncSession`](crate::pipe::AsyncSession) under the
+    /// default [`SupervisorPolicy`](crate::supervise::SupervisorPolicy),
+    /// honoring the engine's fault plan. One shard runs
+    /// [`Engine::run_image`]. Bit-identical pixels and identical summed
+    /// work counters vs [`Engine::run_image`] at any shard count.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Image`] for geometry mismatches;
-    /// [`EngineError::Shard`] (with the failing shard and block index) for
-    /// worker failures, [`EngineError::Worker`] for worker panics.
+    /// [`EngineError::Image`] / [`EngineError::Rows`] for geometry
+    /// mismatches, before any worker starts; [`EngineError::Frame`] (frame
+    /// 0, with the failing shard and block) when a band exhausts its
+    /// retries.
     pub fn run_image_sharded(
         &self,
         image: &Tensor<f32>,
         shards: usize,
     ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        // Output geometry comes from the one integer-exact derivation
-        // every band stitches against ([`Engine::out_dims`]); a zero-block
-        // frame is a structured `Rows` error here, before any worker
-        // spawns, so `partition_rows` below only ever sees `rows >= 1`.
-        let (out_h, out_w) = self.out_dims(image)?;
-        let (rows, cols) = self.grid_dims(image)?;
-        let p = &self.compiled().program;
-        let xo = p.do_side;
+        // `grid_dims` checks `out_dims` first, so a zero-block frame is a
+        // structured `Rows` error here and `rows >= 1` below.
+        let (rows, _) = self.grid_dims(image)?;
         let n = shards.clamp(1, rows);
         if n == 1 {
             return self.run_image(image);
         }
-        let ranges = partition_rows(rows, n);
-
-        let joined = crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move |_| {
-                        let mut session = self.session();
-                        // `map(|_| ())` ends the borrow of the session so
-                        // the success path can take the stitched band out
-                        // of it instead of cloning a second copy.
-                        match session.process_rows(image, range.clone()).map(|_| ()) {
-                            Ok(()) => {
-                                let stats = session.last_frame_stats();
-                                let band = session.into_frame().expect("band stitched just above");
-                                Ok((band, stats))
-                            }
-                            Err(e) => Err((
-                                // Block index in the row-major frame grid;
-                                // if the worker failed before its first
-                                // block, point at the band's first block.
-                                session.last_block_started().unwrap_or(range.start * cols),
-                                e,
-                            )),
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        })
-        .expect("scope itself cannot fail: worker panics are joined");
-
-        let mut frame = Tensor::zeros(p.do_channels, out_h, out_w);
-        let mut stats = ImageRunStats::default();
-        for (shard, result) in joined.into_iter().enumerate() {
-            match result {
-                Ok(Ok((band, band_stats))) => {
-                    frame.paste(&band, ranges[shard].start * xo, 0);
-                    stats.merge(&band_stats);
-                }
-                Ok(Err((block, e))) => {
-                    return Err(EngineError::Shard {
-                        shard,
-                        block,
-                        source: Box::new(e),
-                    })
-                }
-                Err(panic) => {
-                    return Err(EngineError::Worker {
-                        shard,
-                        message: crate::supervise::panic_message(&*panic),
-                    })
-                }
-            }
-        }
-        Ok((frame, stats))
+        let mut session = self.async_session(n);
+        let ticket = session.submit(image.clone())?;
+        session.wait(ticket)
     }
 }
 
-/// Splits `rows` block rows into `min(n, rows)` contiguous, non-empty,
-/// near-equal ranges covering `0..rows` (earlier ranges take the
-/// remainder). Total over every input: zero rows yield zero ranges —
-/// never a single empty one — so a worker can never be handed a band
-/// with no blocks; callers that require work reject empty grids up
-/// front ([`Engine::out_dims`] returns [`EngineError::Rows`]).
-pub fn partition_rows(rows: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    if rows == 0 {
-        return Vec::new();
-    }
-    let n = n.clamp(1, rows);
-    let base = rows / n;
-    let rem = rows % n;
-    let mut start = 0;
-    (0..n)
-        .map(|i| {
-            let len = base + usize::from(i < rem);
-            let r = start..start + len;
-            start += len;
-            r
-        })
-        .collect()
-}
-
-/// Any [`Backend`] partitioned across `N` workers.
-///
-/// * [`Backend::frame_report`] shards the workload's real-time spec by
-///   height (at block-row granularity when the inner flow is
-///   [`BlockParallel`], so summed totals match the unsharded report
-///   exactly) and merges per-shard reports with cycles = max,
-///   traffic/energy/SRAM = sum.
-/// * [`Backend::run_image`] partitions the frame's block grid across
-///   worker threads via [`Engine::run_image_sharded`] when the inner flow
-///   is [`BlockParallel`]; other flows fall back to their own
-///   (unsharded) implementation.
-pub struct ShardedBackend<B> {
-    inner: B,
+/// The eCNN flow partitioned across `N` accelerators:
+/// [`Backend::run_image`] is [`Engine::run_image_sharded`], and
+/// [`Backend::frame_report`] merges per-shard reports with cycles = max,
+/// traffic/energy/SRAM = sum.
+pub struct ShardedBackend {
+    inner: EcnnBackend,
     shards: usize,
     name: String,
 }
 
-impl<B: Backend> ShardedBackend<B> {
+impl ShardedBackend {
     /// Wraps `inner`, partitioning work across `shards` workers. The
     /// backend is named `"{inner}[x{shards}]"`.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn new(inner: B, shards: usize) -> Self {
+    pub fn new(inner: EcnnBackend, shards: usize) -> Self {
         assert!(shards > 0, "a sharded backend needs at least one worker");
         let name = format!("{}[x{shards}]", inner.name());
         Self {
@@ -211,30 +95,13 @@ impl<B: Backend> ShardedBackend<B> {
     }
 
     /// The wrapped flow.
-    pub fn inner(&self) -> &B {
+    pub fn inner(&self) -> &EcnnBackend {
         &self.inner
     }
 
     /// Number of workers the grid is partitioned across.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Shards `spec`'s height into per-worker bands. With a block side the
-    /// bands align to block rows (all but the last are whole multiples of
-    /// `granularity`), so per-shard block counts sum exactly to the
-    /// unsharded count; without one the raw pixel height is split.
-    fn shard_specs(&self, spec: RealTimeSpec, granularity: Option<usize>) -> Vec<RealTimeSpec> {
-        let g = granularity.unwrap_or(1).max(1);
-        let rows = spec.height.div_ceil(g).max(1);
-        let ranges = partition_rows(rows, self.shards.min(rows));
-        ranges
-            .iter()
-            .map(|r| {
-                let height = (r.end * g).min(spec.height) - r.start * g;
-                RealTimeSpec { height, ..spec }
-            })
-            .collect()
     }
 }
 
@@ -270,40 +137,29 @@ fn merge_reports(name: &str, spec: RealTimeSpec, reports: &[FrameReport]) -> Fra
     }
 }
 
-impl<B: Backend + Sync> Backend for ShardedBackend<B> {
+impl Backend for ShardedBackend {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn frame_report(&self, workload: &Workload) -> Result<FrameReport, EngineError> {
-        // Block-parallel flows compile once and report every shard band
-        // off the same engine, at block-row granularity — so summed
-        // per-shard totals equal the unsharded report. Analytical flows
-        // split the raw spec height and re-report per band.
-        let reports = match self.inner.block_parallel() {
-            Some(bp) => {
-                let engine = bp.block_engine(workload)?;
-                let do_side = engine.compiled().program.do_side;
-                self.shard_specs(workload.spec, Some(do_side))
-                    .into_iter()
-                    .map(|spec| engine.frame_report_at(spec))
-                    .collect()
-            }
-            None => self
-                .shard_specs(workload.spec, None)
-                .into_iter()
-                .map(|spec| {
-                    let mut w = workload.clone();
-                    w.spec = spec;
-                    self.inner.frame_report(&w)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        Ok(merge_reports(&self.name, workload.spec, &reports))
+        // One engine reports every band; bands align to block rows, so
+        // per-shard block counts sum exactly to the unsharded count.
+        let engine = self.inner.engine(workload)?;
+        let g = engine.compiled().program.do_side;
+        let spec = workload.spec;
+        let reports: Vec<_> = partition_rows(spec.height.div_ceil(g).max(1), self.shards)
+            .into_iter()
+            .map(|r| {
+                let height = (r.end * g).min(spec.height) - r.start * g;
+                engine.frame_report_at(RealTimeSpec { height, ..spec })
+            })
+            .collect();
+        Ok(merge_reports(&self.name, spec, &reports))
     }
 
     fn supports_run_image(&self) -> bool {
-        self.inner.supports_run_image()
+        true
     }
 
     fn run_image(
@@ -311,16 +167,9 @@ impl<B: Backend + Sync> Backend for ShardedBackend<B> {
         workload: &Workload,
         image: &Tensor<f32>,
     ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        match self.inner.block_parallel() {
-            Some(bp) => bp
-                .block_engine(workload)?
-                .run_image_sharded(image, self.shards),
-            None => self.inner.run_image(workload, image),
-        }
-    }
-
-    fn block_parallel(&self) -> Option<&dyn BlockParallel> {
-        self.inner.block_parallel()
+        self.inner
+            .engine(workload)?
+            .run_image_sharded(image, self.shards)
     }
 }
 
@@ -328,7 +177,6 @@ impl<B: Backend + Sync> Backend for ShardedBackend<B> {
 mod tests {
     use super::*;
     use ecnn_model::ernet::{ErNetSpec, ErNetTask};
-    use ecnn_tensor::{ImageKind, SyntheticImage};
 
     fn workload() -> Workload {
         Workload::ernet(
@@ -340,28 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn partition_rows_is_exact_and_contiguous() {
-        for rows in 1..12 {
-            for n in 1..6 {
-                let ranges = partition_rows(rows, n);
-                assert_eq!(ranges.len(), n.min(rows));
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges.last().unwrap().end, rows);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                    assert!(!w[0].is_empty() && !w[1].is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_names_and_delegation() {
         let b = ShardedBackend::new(EcnnBackend::paper(), 2);
         assert_eq!(b.name(), "ecnn[x2]");
         assert_eq!(b.shards(), 2);
         assert!(b.supports_run_image());
-        assert!(b.block_parallel().is_some());
     }
 
     #[test]
@@ -402,71 +233,6 @@ mod tests {
             assert_eq!(
                 merged.feature_sram_bytes,
                 inner.feature_sram_bytes * n as f64
-            );
-        }
-    }
-
-    #[test]
-    fn worker_failure_carries_shard_and_block() {
-        // A geometry mismatch surfaces before any worker spawns; exercise
-        // the Shard variant's formatting instead.
-        let e = EngineError::Shard {
-            shard: 1,
-            block: 7,
-            source: Box::new(EngineError::Rows {
-                start: 3,
-                end: 3,
-                available: 2,
-            }),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("shard 1"));
-        assert!(msg.contains("block 7"));
-        assert!(std::error::Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn out_of_grid_rows_are_a_structured_error() {
-        let bp = EcnnBackend::paper();
-        let engine = bp.block_engine(&workload()).unwrap();
-        let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 56);
-        let mut session = engine.session();
-        match session.process_rows(&img, 9..12) {
-            Err(EngineError::Rows {
-                start,
-                end,
-                available,
-            }) => {
-                assert_eq!((start, end), (9, 12));
-                assert!(available < 9);
-            }
-            other => {
-                let _ = other.map(|_| ());
-                panic!("expected a Rows error");
-            }
-        }
-        assert!(matches!(
-            session.process_rows(&img, 1..1),
-            Err(EngineError::Rows { .. })
-        ));
-    }
-
-    #[test]
-    fn sharded_image_run_is_bit_identical() {
-        let w = workload();
-        let img = SyntheticImage::new(ImageKind::Mixed, 11).rgb(56, 72);
-        let (plain, plain_stats) = EcnnBackend::paper().run_image(&w, &img).unwrap();
-        for n in [1, 2, 4] {
-            let sharded = ShardedBackend::new(EcnnBackend::paper(), n);
-            let (out, stats) = sharded.run_image(&w, &img).unwrap();
-            assert_eq!(out, plain, "x{n} pixels must be bit-identical");
-            assert_eq!(stats.blocks, plain_stats.blocks, "x{n} block totals");
-            // Work totals are shard-invariant (no halo recompute); only
-            // the pool counters differ (one cold arena per worker).
-            assert_eq!(
-                stats.exec.work(),
-                plain_stats.exec.work(),
-                "x{n} work totals must match"
             );
         }
     }

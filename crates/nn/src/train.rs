@@ -162,11 +162,11 @@ pub fn softmax_ce_loss(out: &Tensor<f32>, class: usize) -> (f32, Tensor<f32>) {
 /// Gradients of the mean MSE over a batch, computed with `threads` workers.
 fn batch_grads(model: &FloatModel, batch: &[&Sample], threads: usize) -> (f32, Vec<LayerGrads>) {
     let chunk = batch.len().div_ceil(threads.max(1));
-    let results: Vec<(f32, Vec<LayerGrads>)> = crossbeam::scope(|scope| {
+    let results: Vec<(f32, Vec<LayerGrads>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = batch
             .chunks(chunk)
             .map(|part| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut loss = 0.0f32;
                     let mut grads: Vec<LayerGrads> = Vec::new();
                     for s in part {
@@ -183,8 +183,7 @@ fn batch_grads(model: &FloatModel, batch: &[&Sample], threads: usize) -> (f32, V
             .into_iter()
             .map(|h| h.join().expect("worker"))
             .collect()
-    })
-    .expect("scope");
+    });
     let mut total_loss = 0.0;
     let mut total: Vec<LayerGrads> = Vec::new();
     for (l, g) in results {

@@ -1,10 +1,12 @@
 //! Integration tests for the plan/execute split and the sharded backend:
-//! parity of the sharded paths against the plain engine, and the plane
-//! pool's zero-allocation steady state.
+//! parity of the sharded paths against the plain engine, fault-plan
+//! recovery of the one-frame sharded run, and the plane pool's
+//! zero-allocation steady state.
 
 use ecnn_baselines::registry;
 use ecnn_core::engine::{Backend, EcnnBackend, Engine, Workload};
 use ecnn_core::sharded::ShardedBackend;
+use ecnn_core::FaultPlan;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::RealTimeSpec;
 use ecnn_tensor::{ImageKind, SyntheticImage};
@@ -83,6 +85,28 @@ fn sharded_parity_on_sr_with_ragged_grid() {
             .unwrap();
         assert_eq!(out, ref_out, "x{n}");
     }
+}
+
+/// The one-shot sharded run is a one-frame supervised session: it honors
+/// the engine's fault plan, recovers from the injected panics and delays,
+/// and still returns the serial pixels.
+#[test]
+fn sharded_run_honors_fault_plan() {
+    let eng = Engine::builder()
+        .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
+        .block(40)
+        .faults(FaultPlan::parse("seed=7;panic@500;delay@1000:ms=1").unwrap())
+        .build()
+        .unwrap();
+    let img = SyntheticImage::new(ImageKind::Texture, 23).rgb(72, 96);
+    let (reference, _) = eng.run_image(&img).unwrap();
+    let (out, stats) = eng.run_image_sharded(&img, 2).unwrap();
+    assert_eq!(out, reference, "pixels must survive the injected faults");
+    assert!(
+        stats.supervisor.faults_injected > 0,
+        "the plan must reach the sharded workers: {:?}",
+        stats.supervisor
+    );
 }
 
 /// After the first frame has warmed the plane pool, a multi-frame session
