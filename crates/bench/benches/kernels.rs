@@ -1,16 +1,16 @@
 //! Criterion micro-benchmarks for the hot kernels: the block executor
-//! (one-shot, warm packed, and warm reference paths), the interior/border
-//! row micro-kernels, the Huffman parameter codec, the compiler, and the
+//! (one-shot, warm packed, and warm reference paths), the pair-MAC 3×3
+//! row microkernel, the Huffman parameter codec, the compiler, and the
 //! float trainer's conv.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecnn_isa::coding::{decode_segment, encode_segment};
 use ecnn_isa::compile::compile;
-use ecnn_isa::params::QuantizedModel;
+use ecnn_isa::params::{QuantizedModel, LEAF_PAIRS, OC_BLOCK, PAIR_TAPS};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_nn::float_model::conv3_same;
 use ecnn_sim::exec::{execute, execute_with, BlockPlan, Kernels, PlanePool};
-use ecnn_sim::kernels::{accum_row_interior, row_padded};
+use ecnn_sim::kernels::simd::{conv3_row_narrow, conv3_row_wide, detect, PairRows};
 use ecnn_sim::SimdLevel;
 use ecnn_tensor::{ImageKind, SyntheticImage, Tensor};
 use std::hint::black_box;
@@ -57,25 +57,48 @@ fn bench_kernel_paths(c: &mut Criterion) {
     }
 }
 
-/// The row micro-kernel itself: the branch-free interior span vs the
-/// zero-padded border-splitting variant, on a 4K-wide row (both on the
-/// scalar-tier `i64` lane).
-fn bench_row_kernels(c: &mut Criterion) {
+/// The 3×3 microkernel itself: one register-block row ([`OC_BLOCK`]
+/// output channels) of a 4K-wide output over one 32-channel input group,
+/// on the licensed `i32` lane at the host's best tier and on the exact
+/// `i64` lane at the scalar tier (the `Packed` path).
+fn bench_conv3_rows(c: &mut Criterion) {
     const W: usize = 3840;
-    let row: Vec<i16> = (0..W + 2).map(|i| ((i * 37) % 251) as i16 - 125).collect();
-    let taps = [3i32, -7, 5];
-    let mut acc = vec![0i64; W];
-    c.bench_function("kernels/row_interior_4k", |b| {
-        b.iter(|| accum_row_interior(black_box(&mut acc), black_box(&row), black_box(taps)))
-    });
-    let mut acc = vec![0i64; W];
-    c.bench_function("kernels/row_border_4k", |b| {
+    let row_stride = 2 * (W + 2);
+    let src: Vec<i16> = (0..LEAF_PAIRS * 3 * row_stride)
+        .map(|i| ((i * 37) % 251) as i16 - 125)
+        .collect();
+    let taps: Vec<i16> = (0..LEAF_PAIRS * PAIR_TAPS)
+        .map(|i| ((i * 7) % 11) as i16 - 5)
+        .collect();
+    let live = vec![0b111u8; LEAF_PAIRS];
+    let rows = PairRows {
+        src: &src,
+        pair_stride: 3 * row_stride,
+        row_stride,
+        taps: &taps,
+        live: &live,
+        madd_exact: true,
+    };
+    let mut narrow = vec![vec![0i32; W]; OC_BLOCK];
+    c.bench_function("kernels/conv3_row_4k_narrow", |b| {
         b.iter(|| {
-            row_padded(
+            let [o0, o1, o2, o3] = &mut narrow[..] else {
+                unreachable!("OC_BLOCK rows")
+            };
+            conv3_row_narrow(detect(), black_box(&rows), [0; OC_BLOCK], [o0, o1, o2, o3])
+        })
+    });
+    let mut wide = vec![vec![0i64; W]; OC_BLOCK];
+    c.bench_function("kernels/conv3_row_4k_scalar_wide", |b| {
+        b.iter(|| {
+            let [o0, o1, o2, o3] = &mut wide[..] else {
+                unreachable!("OC_BLOCK rows")
+            };
+            conv3_row_wide(
                 SimdLevel::Scalar,
-                black_box(&mut acc),
-                black_box(&row[..W]),
-                black_box(taps),
+                black_box(&rows),
+                [0; OC_BLOCK],
+                [o0, o1, o2, o3],
             )
         })
     });
@@ -114,7 +137,7 @@ fn bench_train_conv(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_executor, bench_kernel_paths, bench_row_kernels, bench_huffman,
+    targets = bench_executor, bench_kernel_paths, bench_conv3_rows, bench_huffman,
         bench_compiler, bench_train_conv
 }
 criterion_main!(benches);

@@ -231,17 +231,30 @@ impl LeafParams {
     }
 }
 
+/// Output channels one register block of the packed 3×3 nest accumulates
+/// at once; [`PackedConv3::taps`] is laid out in blocks of this many.
+pub const OC_BLOCK: usize = 4;
+/// Register blocks per 32-channel output plane.
+const OC_BLOCKS: usize = LEAF_CH / OC_BLOCK;
+/// Input channel pairs per 32-channel input group.
+pub const LEAF_PAIRS: usize = LEAF_CH / 2;
+/// `i16` taps one input channel pair contributes to one register block:
+/// 3×3 positions × [`OC_BLOCK`] output channels × 2 input channels.
+pub const PAIR_TAPS: usize = 9 * OC_BLOCK * 2;
+
 /// Plan-time packed kernel parameters of one instruction: everything the
 /// flat-slice execution micro-kernels need, prepared once when a program
 /// is planned and reused across every frame.
 ///
-/// * weights are widened to `i32` once, in tap-major order (all channel
-///   pairs of one 3×3 tap row are addressable as a contiguous 3-slice);
+/// * 3×3 weights are stored once, as `(even, odd)` input-channel `i16`
+///   pairs in register-block order, the operand form of a pair
+///   multiply-add (`madd_epi16`);
 /// * biases are pre-aligned to the accumulator's fractional position
 ///   (`prod_frac`), already summed across leaf-modules where the datapath
 ///   sums them;
-/// * all-zero tap rows and channel pairs carry a zero mask bit so the
-///   kernels skip them without inspecting the weights again.
+/// * 3×3 tap rows that are zero across a whole register block, and 1×1
+///   zero columns, are flagged so the kernels skip them without
+///   inspecting the weights again.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedKernelParams {
     /// 3×3 stages: one entry for `CONV`/`UPX2`/`DNX2`, one per leaf for
@@ -253,10 +266,10 @@ pub struct PackedKernelParams {
     /// Verifier-licensed narrow accumulation: `true` only when the static
     /// interval analysis (`crate::verify`) proved every conv-stage
     /// accumulator value of this instruction fits an `i32`
-    /// (`InstrRange::narrow_acc`), so SIMD kernels may run 8-wide `i32`
-    /// lanes instead of 4-wide `i64`. [`PackedKernelParams::pack`] always
-    /// leaves this `false`; the planner stamps it from a verify report —
-    /// no proof, no narrow path.
+    /// (`InstrRange::narrow_acc`), so SIMD kernels may accumulate in
+    /// wrapping `i32` lanes (16 MAC per `madd`) instead of `i64`.
+    /// [`PackedKernelParams::pack`] always leaves this `false`; the planner
+    /// stamps it from a verify report — no proof, no narrow path.
     pub narrow_acc: bool,
 }
 
@@ -308,7 +321,7 @@ impl PackedKernelParams {
     pub fn bytes(&self) -> usize {
         self.conv3
             .iter()
-            .map(|c| c.bias.len() * 8 + c.taps.len() * 4 + c.mask.len())
+            .map(|c| c.bias.len() * 8 + c.taps.len() * 2 + c.live.len())
             .sum::<usize>()
             + self.conv1.as_ref().map_or(0, |c| {
                 c.bias.len() * 8 + c.nz.len() * 8 + c.nz_idx.len() * 4
@@ -316,8 +329,9 @@ impl PackedKernelParams {
     }
 }
 
-/// One packed 3×3 sweep: `out_planes × in_groups` leaf filters with
-/// widened taps, pre-aligned biases, and per-pair tap-row masks.
+/// One packed 3×3 sweep: `out_planes × in_groups` leaf filters as `i16`
+/// channel-pair taps in register-block order, pre-aligned biases, and
+/// per-block tap-row masks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedConv3 {
     /// Output planes the sweep produces (`out_groups` for `UPX2`, else 1).
@@ -328,13 +342,21 @@ pub struct PackedConv3 {
     /// (summed across leaf-modules except for `UPX2`, whose leaves write
     /// distinct pre-shuffle planes).
     pub bias: Vec<i64>,
-    /// Widened taps, tap-major: index
-    /// `(((plane * 3 + ky) * LEAF_CH² + oc * LEAF_CH + ic) * 3) + kx`
-    /// with `plane = op · in_groups + ig`.
-    pub taps: Vec<i32>,
-    /// Per `(plane, oc, ic)` channel pair: low 3 bits flag tap rows `ky`
-    /// with any nonzero tap. A zero byte skips the pair entirely.
-    pub mask: Vec<u8>,
+    /// The weights, once, as `i16` input-channel pairs. Output channel
+    /// `oc = block · OC_BLOCK + o` (`block` counts across output planes),
+    /// input channel `ic = 2 · pair + h` (`pair` counts across input
+    /// groups) and tap `(ky, kx)` sit at index
+    /// `(((block · pairs + pair) · 9 + ky · 3 + kx) · OC_BLOCK + o) · 2 + h`
+    /// with `pairs = in_groups · LEAF_PAIRS`: one block's taps are
+    /// contiguous, [`PAIR_TAPS`] per input pair.
+    pub taps: Vec<i16>,
+    /// Per `(block, pair)`: bit `ky` set when any tap of row `ky` of that
+    /// block and input pair is nonzero. A zero byte skips the pair.
+    pub live: Vec<u8>,
+    /// No tap equals `i16::MIN`, so every pair sum `w₀·a₀ + w₁·a₁` of two
+    /// `i16` products is exact in `i32`; the exact (`i64`) SIMD lane
+    /// relies on this and falls back to scalar otherwise.
+    pub madd_exact: bool,
 }
 
 impl PackedConv3 {
@@ -369,7 +391,7 @@ impl PackedConv3 {
                 packed.fill_plane(op_ * in_groups + ig, w);
             }
         }
-        packed
+        packed.finish()
     }
 
     /// Packs one ER leaf's expansion filter (a single 32→32 plane) with
@@ -380,55 +402,90 @@ impl PackedConv3 {
             packed.bias[oc] = align_code(leaf.b3[oc] as i64, b3_frac, prod3);
         }
         packed.fill_plane(0, &leaf.w3);
-        packed
+        packed.finish()
     }
 
     fn empty(out_planes: usize, in_groups: usize) -> Self {
-        let pairs = LEAF_CH * LEAF_CH;
-        let planes = out_planes * in_groups;
+        let blocks = out_planes * OC_BLOCKS;
+        let pairs = in_groups * LEAF_PAIRS;
         Self {
             out_planes,
             in_groups,
             bias: vec![0; out_planes * LEAF_CH],
-            taps: vec![0; planes * 3 * pairs * 3],
-            mask: vec![0; planes * pairs],
+            taps: vec![0; blocks * pairs * PAIR_TAPS],
+            live: vec![0; blocks * pairs],
+            madd_exact: true,
         }
     }
 
-    /// Widens one leaf filter (layout `[oc][ic][9]`) into plane `plane`'s
-    /// tap-major slots, flagging nonzero tap rows.
+    /// Index of tap `(ky, kx)` of output channel `oc` and input channel
+    /// `ic` of `plane` (`plane = op · in_groups + ig`) in
+    /// [`PackedConv3::taps`].
+    fn index(&self, plane: usize, ky: usize, kx: usize, oc: usize, ic: usize) -> usize {
+        let (op_, ig) = (plane / self.in_groups, plane % self.in_groups);
+        let block = op_ * OC_BLOCKS + oc / OC_BLOCK;
+        let pair = ig * LEAF_PAIRS + ic / 2;
+        let pairs = self.in_groups * LEAF_PAIRS;
+        (((block * pairs + pair) * 9 + ky * 3 + kx) * OC_BLOCK + oc % OC_BLOCK) * 2 + ic % 2
+    }
+
+    /// Stores one leaf filter (layout `[oc][ic][9]`) as plane `plane`'s
+    /// channel-pair taps.
     fn fill_plane(&mut self, plane: usize, w3: &[i16]) {
-        let pairs = LEAF_CH * LEAF_CH;
-        for pair in 0..pairs {
-            let wbase = pair * 9;
-            let mut m = 0u8;
-            for ky in 0..3 {
-                let dst = ((plane * 3 + ky) * pairs + pair) * 3;
-                for kx in 0..3 {
-                    let v = w3[wbase + ky * 3 + kx] as i32;
-                    self.taps[dst + kx] = v;
-                    if v != 0 {
-                        m |= 1 << ky;
-                    }
+        for oc in 0..LEAF_CH {
+            for ic in 0..LEAF_CH {
+                for k in 0..9 {
+                    let i = self.index(plane, k / 3, k % 3, oc, ic);
+                    self.taps[i] = w3[(oc * LEAF_CH + ic) * 9 + k];
                 }
             }
-            self.mask[plane * pairs + pair] = m;
         }
+    }
+
+    /// Derives the tap-row masks and the `madd` exactness flag from the
+    /// stored taps.
+    fn finish(mut self) -> Self {
+        for (m, pair) in self.live.iter_mut().zip(self.taps.chunks_exact(PAIR_TAPS)) {
+            *m = (0..3)
+                .filter(|ky| {
+                    pair[ky * 3 * OC_BLOCK * 2..][..3 * OC_BLOCK * 2]
+                        .iter()
+                        .any(|&w| w != 0)
+                })
+                .fold(0, |m, ky| m | 1 << ky);
+        }
+        self.madd_exact = !self.taps.contains(&i16::MIN);
+        self
+    }
+
+    /// The taps of register block `block` (output channels
+    /// `block · OC_BLOCK ..`, across output planes), [`PAIR_TAPS`] per
+    /// input pair.
+    #[inline]
+    pub fn block_taps(&self, block: usize) -> &[i16] {
+        let n = self.in_groups * LEAF_PAIRS * PAIR_TAPS;
+        &self.taps[block * n..][..n]
+    }
+
+    /// The per-input-pair tap-row masks of register block `block`.
+    #[inline]
+    pub fn block_live(&self, block: usize) -> &[u8] {
+        let n = self.in_groups * LEAF_PAIRS;
+        &self.live[block * n..][..n]
     }
 
     /// The 3 horizontal taps of row `ky` for channel pair `(oc, ic)` of
-    /// `plane`.
-    #[inline]
+    /// `plane`, decoded from the stored pairs.
     pub fn taps(&self, plane: usize, ky: usize, oc: usize, ic: usize) -> [i32; 3] {
-        let pairs = LEAF_CH * LEAF_CH;
-        let base = ((plane * 3 + ky) * pairs + oc * LEAF_CH + ic) * 3;
-        [self.taps[base], self.taps[base + 1], self.taps[base + 2]]
+        std::array::from_fn(|kx| self.taps[self.index(plane, ky, kx, oc, ic)] as i32)
     }
 
-    /// Nonzero-tap-row mask of channel pair `(oc, ic)` of `plane`.
-    #[inline]
+    /// Nonzero-tap-row mask of channel pair `(oc, ic)` of `plane`, decoded
+    /// from the stored pairs.
     pub fn row_mask(&self, plane: usize, oc: usize, ic: usize) -> u8 {
-        self.mask[plane * LEAF_CH * LEAF_CH + oc * LEAF_CH + ic]
+        (0..3)
+            .filter(|&ky| self.taps(plane, ky, oc, ic) != [0; 3])
+            .fold(0, |m, ky| m | 1 << ky)
     }
 }
 
@@ -850,9 +907,22 @@ mod tests {
         }
         leaf.w3[0] = 1; // keep rows 0 and 2 of pair (0,0) live
         leaf.w3[6] = 1;
-        let p = PackedConv3::pack(&ins, &[leaf]);
+        let p = PackedConv3::pack(&ins, &[leaf.clone()]);
         assert_eq!(p.row_mask(0, 1, 2), 0, "all-zero pair is masked out");
         assert_eq!(p.row_mask(0, 0, 0), 0b101, "zero tap row is masked out");
+        assert!(p.madd_exact);
+        // Zero input pair 1 (channels 2, 3) for output channels 0..4, the
+        // first register block: its block mask skips the pair.
+        for oc in 0..OC_BLOCK {
+            for ic in 2..4 {
+                leaf.w3[(oc * LEAF_CH + ic) * 9..][..9].fill(0);
+            }
+        }
+        leaf.w3[LEAF_CH * 9] = i16::MIN; // (oc 1, ic 0, ky 0, kx 0)
+        let p = PackedConv3::pack(&ins, &[leaf]);
+        assert_eq!(p.block_live(0)[1], 0, "all-zero block pair is masked out");
+        assert_eq!(p.block_live(1)[1], 0b111);
+        assert!(!p.madd_exact, "an i16::MIN tap revokes madd exactness");
     }
 
     #[test]

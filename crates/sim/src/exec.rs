@@ -25,10 +25,11 @@
 //!
 //! The accumulation inner loops live in [`crate::kernels`]: the plan packs
 //! every instruction's parameters once
-//! ([`BlockPlan::packed`] — widened tap-major weights, pre-aligned biases,
-//! zero-tap masks) and the one packed nest consumes that cache with an
-//! interior/border row split, so steady-state frames do zero
-//! kernel-parameter preparation. Each convolution resolves its lane once
+//! ([`BlockPlan::packed`] — `i16` channel-pair weights, pre-aligned
+//! biases, zero-tap masks) and the one output-stationary packed nest
+//! consumes that cache over the channel-pair-interleaved input the gather
+//! writes, so steady-state frames do zero kernel-parameter preparation.
+//! Each convolution resolves its lane once
 //! (SIMD tier, and `i64` or the licensed `i32` accumulator) and makes one
 //! call into that nest. [`execute_with`] can instead run the kept scalar
 //! [`Kernels::Reference`] path, which is bit-identical and serves as the
@@ -37,7 +38,7 @@
 use crate::config::EcnnConfig;
 use crate::kernels::{self, simd::SimdLevel, Lane};
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
-use ecnn_isa::params::{LeafParams, PackedKernelParams};
+use ecnn_isa::params::{LeafParams, PackedKernelParams, LEAF_PAIRS};
 use ecnn_isa::program::Program;
 use ecnn_isa::verify::memplan::MemoryPlan;
 use ecnn_isa::verify::{DiagCode, Diagnostic, VerifyReport};
@@ -421,8 +422,8 @@ pub struct BlockPlan<'a> {
     planes: Vec<PlaneInfo>,
     /// DO groups assembled into the logical output block.
     out_groups: usize,
-    /// Per-instruction packed kernel parameters: weights widened once to
-    /// `i32` in tap-major order, biases pre-aligned to the accumulator's
+    /// Per-instruction packed kernel parameters: 3×3 weights stored once as
+    /// `i16` channel pairs, biases pre-aligned to the accumulator's
     /// fractional position, zero taps/leaves masked. Built on the plan's
     /// single walk and reused by every frame, so steady-state execution
     /// performs zero kernel-parameter preparation. Each entry also carries
@@ -613,9 +614,9 @@ impl<'a> BlockPlan<'a> {
         // Stamp each instruction's narrow-accumulation license from the
         // verifier's interval analysis: `narrow_acc` proves every
         // convolution-stage accumulator fits `i32`, which licenses the
-        // SIMD kernels' 8-wide `i32` path. A report with errors (or an
-        // unanalyzable instruction, `ranges[i] == None`) leaves the flag
-        // false — no proof, no narrow path.
+        // SIMD kernels' wrapping `i32` (`madd`) path. A report with errors
+        // (or an unanalyzable instruction, `ranges[i] == None`) leaves the
+        // flag false — no proof, no narrow path.
         let report = ecnn_isa::verify::verify(program, leafs);
         let mut memplan = None;
         if !report.has_errors() {
@@ -1062,7 +1063,7 @@ pub enum Kernels {
     /// The same packed nest at the SIMD tier resolved at plan time by
     /// runtime feature detection ([`BlockPlan::simd_level`]);
     /// instructions whose plan entry carries the verifier's `narrow_acc`
-    /// proof run on the wrapping `i32` lane (8-wide on AVX2).
+    /// proof run on the wrapping `i32` lane (16 MAC per `madd` on AVX2).
     Simd,
 }
 
@@ -1326,8 +1327,22 @@ fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>)
     }
 }
 
-/// Gathers `groups` consecutive planes into the pool's wide scratch,
-/// resolving each group through `route` when the plan is coalesced.
+/// How [`gather`] lays out the source planes in the pool's wide scratch.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// Channel-planar, `groups·32 × side × side`: the 1×1 stage and the
+    /// reference kernels.
+    Planar,
+    /// Channel-pair-interleaved with a `frame`-pixel zero border,
+    /// `groups·16 × s × 2s` for `s = side + 2·frame`: the packed 3×3 nest
+    /// (see [`kernels::pair_frame`]).
+    Pairs { frame: usize },
+}
+
+/// Gathers `groups` consecutive planes into the pool's wide scratch in
+/// `layout`, resolving each group through `route` when the plan is
+/// coalesced. Every element of the scratch is written.
+#[allow(clippy::too_many_arguments)]
 fn gather<'m>(
     arena: &PlaneArena,
     wide: &'m mut Option<Tensor<i16>>,
@@ -1336,8 +1351,15 @@ fn gather<'m>(
     groups: usize,
     side: usize,
     route: Option<&[usize]>,
+    layout: Layout,
 ) -> Result<&'m Tensor<i16>, ExecError> {
-    let wide = ensure_overwrite(wide, stats, groups * LEAF_CH, side, side);
+    // One group's slab: 32 channels, or 16 pairs of framed rows.
+    let (c, h, w) = match layout {
+        Layout::Planar => (LEAF_CH, side, side),
+        Layout::Pairs { frame } => (LEAF_PAIRS, side + 2 * frame, 2 * (side + 2 * frame)),
+    };
+    let wide = ensure_overwrite(wide, stats, groups * c, h, w);
+    let data = wide.as_mut_slice();
     for g in 0..groups {
         let plane = read_plane(arena, stats, base.offset(g), route.map(|r| r[g]))?;
         if plane.height() != side || plane.width() != side {
@@ -1347,10 +1369,11 @@ fn gather<'m>(
                 plane.width()
             )));
         }
-        // Groups are consecutive 32-channel slabs: one contiguous copy.
-        let px = side * side;
-        let base = g * LEAF_CH * px;
-        wide.as_mut_slice()[base..base + LEAF_CH * px].copy_from_slice(plane.as_slice());
+        let dst = &mut data[g * c * h * w..][..c * h * w];
+        match layout {
+            Layout::Planar => dst.copy_from_slice(plane.as_slice()),
+            Layout::Pairs { frame } => kernels::interleave_pairs(plane, dst, frame),
+        }
     }
     Ok(wide)
 }
@@ -1379,6 +1402,7 @@ fn exec_conv3(
     let program = plan.program;
     let ins = &program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
+    let lane = packed_lane(kind, plan, idx);
     let input = gather(
         &pool.arena,
         &mut pool.wide,
@@ -1387,6 +1411,7 @@ fn exec_conv3(
         ins.in_groups,
         ins.in_size.0,
         plan.src_slots(idx),
+        conv3_layout(ins, lane),
     )?;
     let prod_frac = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
     // Leaf ordering (see compiler): UPX2 has one leaf per pre-shuffle
@@ -1405,8 +1430,8 @@ fn exec_conv3(
         cw,
     );
     let pk = &plan.packed[idx];
-    match packed_lane(kind, plan, idx) {
-        Some((level, false)) => kernels::conv3(ins, input, &pk.conv3[0], conv_acc, level),
+    match lane {
+        Some((level, false)) => kernels::conv3(input, &pk.conv3[0], conv_acc, level),
         Some((level, true)) => {
             // Verifier-licensed narrow lane: the final per-element
             // conv-stage sum provably fits `i32`, so the wrapping `i32`
@@ -1419,7 +1444,7 @@ fn exec_conv3(
                 chh,
                 cw,
             );
-            kernels::conv3(ins, input, &pk.conv3[0], acc32, level);
+            kernels::conv3(input, &pk.conv3[0], acc32, level);
             kernels::widen_acc(conv_acc, acc32);
             pool.stats.narrow_instrs += 1;
         }
@@ -1560,6 +1585,7 @@ fn exec_conv1(
         ins.in_groups,
         ins.in_size.0,
         plan.src_slots(idx),
+        Layout::Planar,
     )?;
     // INVARIANT: format presence validated by `Instruction::check` in
     // `BlockPlan::new` (CONV1 requires the 1x1 formats).
@@ -1649,6 +1675,7 @@ fn exec_er(
     let prod3 = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
     let prod1 = w1q.frac() as i32 + midq.frac() as i32;
     let (cw, chh) = ins.conv_out_size();
+    let lane = packed_lane(kind, plan, idx);
     let input = gather(
         &pool.arena,
         &mut pool.wide,
@@ -1657,9 +1684,10 @@ fn exec_er(
         ins.in_groups,
         ins.in_size.0,
         plan.src_slots(idx),
+        conv3_layout(ins, lane),
     )?;
     let pk = &plan.packed[idx];
-    match packed_lane(kind, plan, idx) {
+    match lane {
         Some((level, false)) => {
             let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
             let scratch = ErScratch {
@@ -1764,7 +1792,7 @@ fn exec_er(
 }
 
 /// Which packed lane one instruction runs on: `None` for the reference
-/// kernels, else the [`SimdLevel`] of the row kernels and whether the
+/// kernels, else the [`SimdLevel`] of the microkernels and whether the
 /// narrow `i32` lane is licensed. [`Kernels::Packed`] is the packed nest at
 /// the portable scalar tier with wide lanes; [`Kernels::Simd`] runs at the
 /// plan's tier, narrow where the instruction carries `narrow_acc`.
@@ -1773,6 +1801,17 @@ fn packed_lane(kind: Kernels, plan: &BlockPlan<'_>, idx: usize) -> Option<(SimdL
         Kernels::Reference => None,
         Kernels::Packed => Some((SimdLevel::Scalar, false)),
         Kernels::Simd => Some((plan.simd, plan.packed[idx].narrow_acc)),
+    }
+}
+
+/// The [`gather`] layout of a 3×3 instruction's input: channel pairs for
+/// the packed nest, planar for the reference kernels.
+fn conv3_layout(ins: &Instruction, lane: Option<(SimdLevel, bool)>) -> Layout {
+    match lane {
+        Some(_) => Layout::Pairs {
+            frame: kernels::pair_frame(ins),
+        },
+        None => Layout::Planar,
     }
 }
 
@@ -1819,7 +1858,7 @@ fn er_packed<L: Lane>(
         ins,
         pk.conv3.len(),
         trace,
-        |li, acc3| kernels::conv3(ins, input, &pk.conv3[li], acc3, level),
+        |li, acc3| kernels::conv3(input, &pk.conv3[li], acc3, level),
         |li, mid, acc1| kernels::conv1(p1, li, mid, 0, acc1, level),
     );
 }

@@ -1,18 +1,32 @@
 //! The packed convolution nest, plus the kept scalar reference.
 //!
-//! [`execute`](crate::exec::execute) dispatches its accumulation inner
-//! loops here. One 3×3 nest (`conv3`), one 1×1 leaf MAC (`conv1`), one
-//! zero-padded border peel ([`row_padded`]) and one bias fill
-//! (`fill_bias`) serve every packed execution. They consume the
+//! [`execute`](crate::exec::execute) dispatches its accumulation loops
+//! here. One 3×3 nest (`conv3`), one 1×1 leaf MAC (`conv1`) and one bias
+//! fill (`fill_bias`) serve every packed execution. They consume the
 //! plan-time [`PackedKernelParams`](ecnn_isa::params::PackedKernelParams)
-//! cache — weights already widened to `i32` in tap-major order, biases
-//! pre-aligned, zero taps masked — and drive each output row as raw
-//! input-row slices with the 3 horizontal taps fused per row. Rows and
-//! columns are split into a *border* (zero-padded inference only) and an
-//! *interior* span that runs with no bounds checks and no branches.
+//! cache — 3×3 weights stored once as `i16` channel pairs, biases
+//! pre-aligned, zero tap rows masked.
+//!
+//! # The output-stationary 3×3 nest
+//!
+//! The eCNN CIU keeps a 4×2-pixel tile of accumulators in place while the
+//! weights and inputs of all 32×32 channels stream past. `conv3` does the
+//! same in software: row band → register block of
+//! [`OC_BLOCK`] output channels → output row → column tile (in the
+//! [`Lane::conv3_row`] microkernel). A tile's accumulators start at the
+//! bias, stay in registers across every (input pair, ky, kx), and are
+//! stored once; the input rows of a band stay in cache across the
+//! register blocks.
+//!
+//! The input arrives channel-pair interleaved: the executor's gather
+//! writes input channels `2p` and `2p+1` of each pixel side by side
+//! (`pairs × rows × 2·cols` `i16`), so one 32-bit word holds both samples
+//! a pair multiply-add (`madd_epi16`) consumes. Zero-padded instructions
+//! get a 1-pixel zero frame in the same copy, so every 3×3 runs as an
+//! interior convolution with no border peel.
 //!
 //! The nest is generic over the accumulator [`Lane`] and takes the
-//! [`SimdLevel`] its row kernels dispatch to:
+//! [`SimdLevel`] its microkernel dispatches to:
 //!
 //! * `i64` — exact accumulation, so any summation order produces
 //!   bit-identical results. [`Kernels::Packed`](crate::exec::Kernels::Packed)
@@ -20,24 +34,31 @@
 //! * `i32` — wrapping accumulation, exact modulo 2³². Bit-identical to the
 //!   `i64` lane after `widen_acc` if and only if the plan carries the
 //!   instruction's `narrow_acc` range proof; the executor enforces that
-//!   precondition.
+//!   precondition. A `madd` pair sum is itself exact modulo 2³² (see
+//!   [`simd`]), so the 16-MAC instruction needs no proof of its own.
 //!
 //! Every lane and level matches the [`mod@reference`] kernels exactly,
 //! which the parity proptests in `tests/kernel_parity.rs` enforce against
 //! the `conv3x3_fixed` / `conv1x1_fixed` goldens.
 //!
 //! The [`mod@reference`] submodule preserves the pre-packing scalar kernels
-//! verbatim: they are the baseline `bench_kernels` measures speedups
-//! against (see `BENCH_kernels.json`) and the oracle of the parity suite.
+//! verbatim: they read channel-planar input, are the baseline
+//! `bench_kernels` measures speedups against (see `BENCH_kernels.json`),
+//! and are the oracle of the parity suite.
 
 use ecnn_isa::instr::{Instruction, LEAF_CH};
-use ecnn_isa::params::{PackedConv1, PackedConv3};
+use ecnn_isa::params::{PackedConv1, PackedConv3, LEAF_PAIRS, OC_BLOCK};
 use ecnn_model::model::InferenceKind;
 use ecnn_tensor::Tensor;
 
 pub mod simd;
 
-use simd::SimdLevel;
+use simd::{PairRows, SimdLevel};
+
+/// Output rows per band of the 3×3 nest: a band's input rows (every input
+/// pair, `ROW_BAND + 2` rows) stay in L2 while all register blocks sweep
+/// it.
+const ROW_BAND: usize = 8;
 
 /// An accumulator lane of the packed nest: `i64` (exact) or `i32`
 /// (wrapping, licensed by the verifier's `narrow_acc` proof). Each vector
@@ -52,9 +73,17 @@ pub trait Lane: Copy + Default + Into<i64> {
     fn from_bias(b: i64) -> Self;
     /// Scalar multiply-add `self + t·s` in the lane's arithmetic.
     fn mul_add(self, t: i32, s: i16) -> Self;
-    /// `acc[x] += t0·row[x] + t1·row[x+1] + t2·row[x+2]`; `row` must hold
-    /// at least `acc.len() + 2` samples.
-    fn row_interior(level: SimdLevel, acc: &mut [Self], row: &[i16], taps: [i32; 3]);
+    /// Scalar pair multiply-add `self + w₀·a₀ + w₁·a₁` in the lane's
+    /// arithmetic — one 32-bit lane of a `madd`.
+    fn pair_mac(self, w: [i16; 2], a: [i16; 2]) -> Self;
+    /// Overwrites `out[o]` with `bias[o]` plus the 3×3 sum over `rows` —
+    /// one output row of one register block (see [`simd::PairRows`]).
+    fn conv3_row(
+        level: SimdLevel,
+        rows: &PairRows<'_>,
+        bias: [Self; OC_BLOCK],
+        out: [&mut [Self]; OC_BLOCK],
+    );
     /// `acc[i] += w·src[i]` over `min(acc.len(), src.len())` elements.
     fn ch_mac(level: SimdLevel, acc: &mut [Self], src: &[i16], w: i32);
 }
@@ -69,8 +98,18 @@ impl Lane for i64 {
         self + t as i64 * s as i64
     }
     #[inline]
-    fn row_interior(level: SimdLevel, acc: &mut [Self], row: &[i16], taps: [i32; 3]) {
-        simd::row_interior_wide(level, acc, row, taps);
+    fn pair_mac(self, w: [i16; 2], a: [i16; 2]) -> Self {
+        // Each `i16` product fits `i32` exactly.
+        self + (w[0] as i32 * a[0] as i32) as i64 + (w[1] as i32 * a[1] as i32) as i64
+    }
+    #[inline]
+    fn conv3_row(
+        level: SimdLevel,
+        rows: &PairRows<'_>,
+        bias: [Self; OC_BLOCK],
+        out: [&mut [Self]; OC_BLOCK],
+    ) {
+        simd::conv3_row_wide(level, rows, bias, out);
     }
     #[inline]
     fn ch_mac(level: SimdLevel, acc: &mut [Self], src: &[i16], w: i32) {
@@ -88,53 +127,25 @@ impl Lane for i32 {
         self.wrapping_add(t.wrapping_mul(s as i32))
     }
     #[inline]
-    fn row_interior(level: SimdLevel, acc: &mut [Self], row: &[i16], taps: [i32; 3]) {
-        simd::row_interior_narrow(level, acc, row, taps);
+    fn pair_mac(self, w: [i16; 2], a: [i16; 2]) -> Self {
+        // Each `i16` product fits `i32`; only the pair sum can wrap.
+        let p0 = w[0] as i32 * a[0] as i32;
+        let p1 = w[1] as i32 * a[1] as i32;
+        self.wrapping_add(p0.wrapping_add(p1))
+    }
+    #[inline]
+    fn conv3_row(
+        level: SimdLevel,
+        rows: &PairRows<'_>,
+        bias: [Self; OC_BLOCK],
+        out: [&mut [Self]; OC_BLOCK],
+    ) {
+        simd::conv3_row_narrow(level, rows, bias, out);
     }
     #[inline]
     fn ch_mac(level: SimdLevel, acc: &mut [Self], src: &[i16], w: i32) {
         simd::ch_mac_narrow(level, acc, src, w);
     }
-}
-
-/// Adds one fused 3-tap row into a fully interior accumulator span:
-/// `acc[x] += t0·row[x] + t1·row[x+1] + t2·row[x+2]`. No bounds branches;
-/// `row` must hold at least `acc.len() + 2` samples (the truncated-pyramid
-/// geometry guarantees this for every row). The scalar tier of
-/// [`Lane::row_interior`], and the tail loop of its vector kernels.
-#[inline]
-pub fn accum_row_interior<L: Lane>(acc: &mut [L], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    let [t0, t1, t2] = taps;
-    let r0 = &row[..n];
-    let r1 = &row[1..n + 1];
-    let r2 = &row[2..n + 2];
-    for (((a, &s0), &s1), &s2) in acc.iter_mut().zip(r0).zip(r1).zip(r2) {
-        *a = a.mul_add(t0, s0).mul_add(t1, s1).mul_add(t2, s2);
-    }
-}
-
-/// The zero-padded variant of [`Lane::row_interior`]: `row` and `acc`
-/// share a width, the first and last columns are peeled scalar (dropping
-/// their out-of-image taps), and the interior span runs branch-free at
-/// `level`.
-#[inline]
-pub fn row_padded<L: Lane>(level: SimdLevel, acc: &mut [L], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    debug_assert_eq!(n, row.len());
-    let [t0, t1, t2] = taps;
-    if n == 1 {
-        acc[0] = acc[0].mul_add(t1, row[0]);
-        return;
-    }
-    acc[0] = acc[0].mul_add(t1, row[0]).mul_add(t2, row[1]);
-    if n > 2 {
-        // Interior element `x` (1 ≤ x ≤ n-2) reads `row[x-1..x+2]`: an
-        // interior pass over `acc[1..n-1]` with the full row (length
-        // `(n-2) + 2`) is exactly that window.
-        L::row_interior(level, &mut acc[1..n - 1], row, taps);
-    }
-    acc[n - 1] = acc[n - 1].mul_add(t0, row[n - 2]).mul_add(t1, row[n - 1]);
 }
 
 /// Overwrites each of `acc`'s channels with its pre-aligned bias.
@@ -154,58 +165,93 @@ pub(crate) fn widen_acc(dst: &mut Tensor<i64>, src: &Tensor<i32>) {
     }
 }
 
-/// Packed 3×3 accumulation of `input` into `acc` (already shaped to
+/// The 1-pixel zero frame a channel-pair-interleaved 3×3 input carries:
+/// 1 for zero-padded inference (the frame stands in for the padding), 0
+/// for truncated-pyramid inference (the input already has a 1-pixel
+/// margin around the output).
+pub(crate) fn pair_frame(ins: &Instruction) -> usize {
+    match ins.inference {
+        InferenceKind::TruncatedPyramid => 0,
+        InferenceKind::ZeroPadded => 1,
+    }
+}
+
+/// Writes the channels of `plane` into `dst` as channel-pair planes of
+/// `(even, odd)` words inside a `frame`-pixel zero border (see
+/// [`pair_frame`]): the input layout of [`conv3`]. `dst` holds
+/// `channels / 2` planes of `s × 2s` elements, `s = side + 2·frame`.
+pub(crate) fn interleave_pairs(plane: &Tensor<i16>, dst: &mut [i16], frame: usize) {
+    let side = plane.width();
+    let s = side + 2 * frame;
+    for (q, pair) in dst.chunks_exact_mut(2 * s * s).enumerate() {
+        let (even, odd) = (plane.channel(2 * q), plane.channel(2 * q + 1));
+        pair[..2 * s * frame].fill(0);
+        pair[2 * s * (s - frame)..].fill(0);
+        let rows = pair.chunks_exact_mut(2 * s).skip(frame);
+        for ((row, even), odd) in rows
+            .zip(even.chunks_exact(side))
+            .zip(odd.chunks_exact(side))
+        {
+            row[..2 * frame].fill(0);
+            row[2 * (s - frame)..].fill(0);
+            let words = row[2 * frame..2 * (s - frame)].chunks_exact_mut(2);
+            for ((w, &a), &b) in words.zip(even).zip(odd) {
+                w[0] = a;
+                w[1] = b;
+            }
+        }
+    }
+}
+
+/// Packed 3×3 accumulation of the channel-pair-interleaved `input`
+/// (`pairs × rows × 2·cols`, framed per [`pair_frame`]) into `acc` (shaped
 /// `out_planes·32 × chh × cw`; every element is overwritten, starting from
-/// the packed biases). Masked-out tap rows and channel pairs are skipped
-/// without touching the weights; each row runs the `level` kernels of
-/// lane `L`.
+/// the packed biases): the output-stationary nest described in the module
+/// docs, running the `level` microkernel of lane `L`.
+///
+/// # Panics
+///
+/// Panics if `input` holds fewer pairs than the packed filters read or is
+/// smaller than `(chh + 2) × (cw + 2)` pixels.
 #[inline]
 pub(crate) fn conv3<L: Lane>(
-    ins: &Instruction,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     acc: &mut Tensor<L>,
     level: SimdLevel,
 ) {
-    let (_, chh, _) = acc.shape();
-    let ih = input.height();
-    let origin: isize = match ins.inference {
-        InferenceKind::TruncatedPyramid => 1,
-        InferenceKind::ZeroPadded => 0,
-    };
-    fill_bias(acc, &packed.bias);
-    let interior = origin == 1;
-    for op_ in 0..packed.out_planes {
-        for ig in 0..packed.in_groups {
-            let plane = op_ * packed.in_groups + ig;
-            for oc in 0..LEAF_CH {
-                let out_ch = op_ * LEAF_CH + oc;
-                for ic in 0..LEAF_CH {
-                    let m = packed.row_mask(plane, oc, ic);
-                    if m == 0 {
-                        continue;
-                    }
-                    let chan = ig * LEAF_CH + ic;
-                    for ky in 0..3usize {
-                        if m & (1 << ky) == 0 {
-                            continue;
-                        }
-                        let taps = packed.taps(plane, ky, oc, ic);
-                        for y in 0..chh {
-                            let sy = y as isize + ky as isize - 1 + origin;
-                            if sy < 0 || sy >= ih as isize {
-                                continue;
-                            }
-                            let row = input.row(chan, sy as usize);
-                            let arow = acc.row_mut(out_ch, y);
-                            if interior {
-                                L::row_interior(level, arow, row, taps);
-                            } else {
-                                row_padded(level, arow, row, taps);
-                            }
-                        }
-                    }
-                }
+    let (_, chh, cw) = acc.shape();
+    let (pairs, ih, iw2) = input.shape();
+    assert!(pairs >= packed.in_groups * LEAF_PAIRS, "input pairs");
+    assert!(
+        ih >= chh + 2 && iw2 >= 2 * (cw + 2),
+        "input covers the 3x3 window"
+    );
+    let plane = chh * cw;
+    if plane == 0 {
+        return;
+    }
+    let src = input.as_slice();
+    let acc = acc.as_mut_slice();
+    for y0 in (0..chh).step_by(ROW_BAND) {
+        for (block, planes) in acc.chunks_exact_mut(OC_BLOCK * plane).enumerate() {
+            let bias: [L; OC_BLOCK] =
+                std::array::from_fn(|o| L::from_bias(packed.bias[block * OC_BLOCK + o]));
+            let mut planes: [&mut [L]; OC_BLOCK] = {
+                let mut it = planes.chunks_exact_mut(plane);
+                std::array::from_fn(|_| it.next().expect("OC_BLOCK planes"))
+            };
+            for y in y0..chh.min(y0 + ROW_BAND) {
+                let rows = PairRows {
+                    src: &src[y * iw2..],
+                    pair_stride: ih * iw2,
+                    row_stride: iw2,
+                    taps: packed.block_taps(block),
+                    live: packed.block_live(block),
+                    madd_exact: packed.madd_exact,
+                };
+                let out = planes.each_mut().map(|p| &mut p[y * cw..(y + 1) * cw]);
+                L::conv3_row(level, &rows, bias, out);
             }
         }
     }
@@ -333,31 +379,94 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecnn_isa::compile::compile;
+    use ecnn_isa::params::{QuantizedModel, PAIR_TAPS};
+    use ecnn_model::layer::{Activation, Layer, Op};
+    use ecnn_model::model::Model;
 
-    /// [`row_padded`] on lane `L` at the host's best tier, from an
-    /// all-`start` accumulator, widened back to `i64`.
-    fn padded<L: Lane>(start: i64, row: &[i16], taps: [i32; 3]) -> Vec<i64> {
-        let mut acc = vec![L::from_bias(start); row.len()];
-        row_padded(simd::detect(), &mut acc, row, taps);
-        acc.into_iter().map(Into::into).collect()
+    /// One block row over a single input pair on lane `L` at every level:
+    /// input row `ky` is `rows[ky]` on both channels of the pair (each
+    /// `n + 2` samples), output channel 0 has taps `even[ky]` on the even
+    /// channel and `odd[ky]` on the odd one, every other tap is zero.
+    /// Returns output channel 0's row (widened) per level, after checking
+    /// the other channels kept their bias `start`.
+    fn block_row<L: Lane>(
+        rows: [&[i16]; 3],
+        even: [[i16; 3]; 3],
+        odd: [[i16; 3]; 3],
+        start: i64,
+    ) -> Vec<Vec<i64>> {
+        let n = rows[0].len() - 2;
+        let src: Vec<i16> = rows
+            .iter()
+            .flat_map(|r| r.iter().flat_map(|&v| [v, v]))
+            .collect();
+        let mut taps = vec![0i16; PAIR_TAPS];
+        for ky in 0..3 {
+            for kx in 0..3 {
+                taps[(ky * 3 + kx) * OC_BLOCK * 2] = even[ky][kx];
+                taps[(ky * 3 + kx) * OC_BLOCK * 2 + 1] = odd[ky][kx];
+            }
+        }
+        let live = [(0..3)
+            .filter(|&ky| even[ky] != [0; 3] || odd[ky] != [0; 3])
+            .fold(0u8, |m, ky| m | 1 << ky)];
+        let rows = PairRows {
+            src: &src,
+            pair_stride: src.len(),
+            row_stride: 2 * (n + 2),
+            taps: &taps,
+            live: &live,
+            madd_exact: true,
+        };
+        simd::levels()
+            .into_iter()
+            .map(|level| {
+                let mut out = vec![vec![L::default(); n]; OC_BLOCK];
+                let [a, b, c, d] = &mut out[..] else {
+                    unreachable!()
+                };
+                L::conv3_row(level, &rows, [L::from_bias(start); OC_BLOCK], [a, b, c, d]);
+                for other in &out[1..] {
+                    assert!(other.iter().all(|&v| v.into() == start), "level {level}");
+                }
+                out[0].iter().map(|&v| v.into()).collect()
+            })
+            .collect()
     }
 
     #[test]
     fn interior_row_fuses_three_taps() {
         let row: Vec<i16> = (1..=6).collect();
-        let mut acc = vec![100i64; 4];
-        accum_row_interior(&mut acc, &row, [1, 10, 100]);
-        // acc[x] += row[x] + 10*row[x+1] + 100*row[x+2]
-        assert_eq!(acc, vec![100 + 321, 100 + 432, 100 + 543, 100 + 654]);
+        let zero = [0i16; 6];
+        let even = [[1, 10, 100], [0; 3], [0; 3]];
+        let odd = [[1000, 0, 0], [0; 3], [0; 3]];
+        // acc[x] += row[x] + 10*row[x+1] + 100*row[x+2] (even channel)
+        //         + 1000*row[x] (odd channel)
+        let want = vec![
+            100 + 321 + 1000,
+            100 + 432 + 2000,
+            100 + 543 + 3000,
+            100 + 654 + 4000,
+        ];
+        for got in block_row::<i64>([&row, &zero, &zero], even, odd, 100)
+            .into_iter()
+            .chain(block_row::<i32>([&row, &zero, &zero], even, odd, 100))
+        {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn padded_row_drops_border_taps() {
-        let row: Vec<i16> = vec![2, 3, 4, 5];
-        for acc in [
-            padded::<i64>(0, &row, [1, 10, 100]),
-            padded::<i32>(0, &row, [1, 10, 100]),
-        ] {
+        // The zero frame of a padded row stands in for its border taps.
+        let row: Vec<i16> = vec![0, 2, 3, 4, 5, 0];
+        let zero = [0i16; 6];
+        let even = [[0; 3], [1, 10, 100], [0; 3]];
+        for acc in block_row::<i64>([&zero, &row, &zero], even, [[0; 3]; 3], 0)
+            .into_iter()
+            .chain(block_row::<i32>([&zero, &row, &zero], even, [[0; 3]; 3], 0))
+        {
             assert_eq!(acc[0], 10 * 2 + 100 * 3, "left border drops t0");
             assert_eq!(acc[1], 2 + 10 * 3 + 100 * 4);
             assert_eq!(acc[2], 3 + 10 * 4 + 100 * 5);
@@ -367,32 +476,63 @@ mod tests {
 
     #[test]
     fn padded_row_handles_degenerate_widths() {
-        for acc in [
-            padded::<i64>(0, &[7], [1, 10, 100]),
-            padded::<i32>(0, &[7], [1, 10, 100]),
-        ] {
+        let even = [[0; 3], [0; 3], [1, 10, 100]];
+        let run = |row: &[i16]| {
+            let zero = vec![0i16; row.len()];
+            let mut all = block_row::<i64>([&zero, &zero, row], even, [[0; 3]; 3], 0);
+            all.extend(block_row::<i32>([&zero, &zero, row], even, [[0; 3]; 3], 0));
+            all
+        };
+        for acc in run(&[0, 7, 0]) {
             assert_eq!(acc, vec![70], "1-wide row keeps only the center tap");
         }
-        for acc in [
-            padded::<i64>(0, &[3, 5], [1, 10, 100]),
-            padded::<i32>(0, &[3, 5], [1, 10, 100]),
-        ] {
+        for acc in run(&[0, 3, 5, 0]) {
             assert_eq!(acc, vec![10 * 3 + 100 * 5, 3 + 10 * 5]);
         }
     }
 
     #[test]
     fn padded_matches_interior_on_pre_padded_row() {
-        // A padded row computed directly must equal an interior pass over
-        // the same row with explicit zero padding, on both lanes.
-        let row: Vec<i16> = vec![-3, 8, 0, 5, 2, -1, 9];
-        let taps = [7, -2, 3];
-        let mut wide = vec![0i16];
-        wide.extend_from_slice(&row);
-        wide.push(0);
-        let mut interior = vec![5i64; row.len()];
-        accum_row_interior(&mut interior, &wide, taps);
-        assert_eq!(padded::<i64>(5, &row, taps), interior);
-        assert_eq!(padded::<i32>(5, &row, taps), interior);
+        // A zero-padded 3x3 through the pair nest (its border supplied by
+        // the interleave's zero frame) must equal the reference kernel's
+        // per-tap border tests, on both lanes at every level.
+        let row: [i16; 7] = [-3, 8, 0, 5, 2, -1, 9];
+        let side = row.len();
+        let m = Model::new(
+            "one-conv",
+            32,
+            32,
+            vec![Layer::new(Op::Conv3x3 {
+                in_c: 32,
+                out_c: 32,
+                act: Activation::None,
+            })],
+        )
+        .unwrap()
+        .with_inference(InferenceKind::ZeroPadded);
+        let c = compile(&QuantizedModel::uniform(&m), side).unwrap();
+        let ins = &c.program.instructions[0];
+        let packed = PackedConv3::pack(ins, &c.leafs[0]);
+        let input = Tensor::from_fn(LEAF_CH, side, side, |ch, y, x| row[(x + 2 * y + ch) % side]);
+        let mut want = Tensor::zeros(LEAF_CH, side, side);
+        reference::conv3_acc_into(
+            ins,
+            &input,
+            &|_, ig| c.leafs[0][ig].w3.as_slice(),
+            &|_| packed.bias.clone(),
+            1,
+            &mut want,
+        );
+        let s = side + 2;
+        let mut framed = Tensor::zeros(LEAF_PAIRS, s, 2 * s);
+        interleave_pairs(&input, framed.as_mut_slice(), pair_frame(ins));
+        for level in simd::levels() {
+            let mut wide = Tensor::zeros(LEAF_CH, side, side);
+            conv3::<i64>(&framed, &packed, &mut wide, level);
+            assert_eq!(wide, want, "wide level {level}");
+            let mut narrow = Tensor::zeros(LEAF_CH, side, side);
+            conv3::<i32>(&framed, &packed, &mut narrow, level);
+            assert_eq!(narrow.map(|v| v as i64), want, "narrow level {level}");
+        }
     }
 }

@@ -12,9 +12,10 @@
 //!   kernel-parameter cache) and an execute phase ([`exec::execute`])
 //!   running in place against a reusable [`exec::PlanePool`] arena.
 //! * [`kernels`] — the one packed convolution nest the executor
-//!   dispatches to (interior/border split over raw row slices), generic
-//!   over the accumulator lane (exact `i64`, or the verifier-licensed
-//!   wrapping `i32`), with its row kernels in [`kernels::simd`]
+//!   dispatches to (output-stationary register tiles over
+//!   channel-pair-interleaved input), generic over the accumulator lane
+//!   (exact `i64`, or the verifier-licensed wrapping `i32`), with its
+//!   microkernels in [`kernels::simd`]
 //!   (AVX2/SSE2/NEON with runtime dispatch, scalar fallback), together
 //!   with the kept scalar reference kernels used as perf baseline and
 //!   parity oracle.
